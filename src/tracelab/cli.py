@@ -14,7 +14,9 @@ nor a config seed is given.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -110,10 +112,15 @@ class RunConfig:
 
 def _parse_number_list(text) -> tuple[float, ...]:
     if isinstance(text, (int, float)):
-        return (float(text),)
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
-    return tuple(float(part) for part in str(text).split(",") if part.strip())
+        values: tuple[float, ...] = (float(text),)
+    elif isinstance(text, (list, tuple)):
+        values = tuple(float(v) for v in text)
+    else:
+        values = tuple(float(part) for part in str(text).split(",") if part.strip())
+    bad = [v for v in values if not math.isfinite(v)]
+    if bad:
+        raise UsageError(f"numbers must be finite, got {bad}")
+    return values
 
 
 def _parse_int_list(text) -> tuple[int, ...]:
@@ -227,12 +234,13 @@ def _parse_func(config: RunConfig, case: str) -> fc.ScalarFunction:
         raise UsageError(f"bad func spec: {exc}") from exc
 
 
+def _open_out(out: str | None):
+    return contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8")
+
+
 def _write_text(out: str | None, text: str) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _open_out(out) as fh:
+        fh.write(text)
 
 
 def emit_plot_data(summary: ex.SweepSummary, path: str) -> None:
@@ -319,21 +327,29 @@ def cmd_verify(config: RunConfig) -> int:
     if unknown or not selection:
         raise UsageError(f"empty or unknown case selection: {unknown or '(none)'}")
 
-    records: list[ineq.TrialRecord] = []
+    # Everything that can fail as a usage error is resolved before the first
+    # record is written; plan records are then written as each plan ends.
     if config.matrices:
-        for case in selection:
-            records.extend(_explicit_matrix_records(case, config))
+        batches = [[r for case in selection for r in _explicit_matrix_records(case, config)]]
     else:
-        for idx, case in enumerate(selection):
-            for plan in _verify_plans(case, config, config.seed + idx * CASE_SEED_STRIDE):
-                records.extend(ex.sweep_records(plan))
+        plans = [
+            plan
+            for idx, case in enumerate(selection)
+            for plan in _verify_plans(case, config, config.seed + idx * CASE_SEED_STRIDE)
+        ]
+        batches = (ex.sweep_records(plan) for plan in plans)
 
-    lines = [json.dumps(r.to_json()) for r in records]
-    _write_text(config.out, "\n".join(lines) + "\n")
-    n_fail = sum(1 for r in records if r.verdict == "FAIL")
-    n_skip = sum(1 for r in records if r.verdict == "SKIPPED")
+    n_records = n_fail = n_skip = 0
+    with _open_out(config.out) as fh:
+        for records in batches:
+            for r in records:
+                fh.write(json.dumps(r.to_json()) + "\n")
+            fh.flush()
+            n_records += len(records)
+            n_fail += sum(1 for r in records if r.verdict == "FAIL")
+            n_skip += sum(1 for r in records if r.verdict == "SKIPPED")
     summary_line = (
-        f"verify: {len(records)} records, {n_fail} FAIL, {n_skip} SKIPPED"
+        f"verify: {n_records} records, {n_fail} FAIL, {n_skip} SKIPPED"
         + (f" -> {config.out}" if config.out else "")
     )
     print(summary_line, file=sys.stderr if config.out is None else sys.stdout)

@@ -9,7 +9,7 @@ exists never emit FAIL; they emit CONJECTURE_OBS with the signed gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -102,22 +102,12 @@ class TrialRecord:
             func=obj.get("func", ""),
         )
 
-    def with_metadata(self, *, seed: int | None = None, ensemble: str | None = None) -> "TrialRecord":
-        kw = {}
-        if seed is not None:
-            kw["seed"] = seed
-        if ensemble is not None:
-            kw["ensemble"] = ensemble
-        return replace(self, **kw)
-
 
 @dataclass(frozen=True)
 class InequalityCase:
-    """Catalog entry: direction by parameter region plus domain constraints."""
+    """Catalog entry: a case id and the inputs one trial consumes."""
 
     id: str
-    domain_constraint: str  # "psd" | "pd-for-negative-q" | "pd" | "hermitian"
-    valid_region: str
     needs: str  # "pair" | "pair+func" | "blocks" | "cd"
 
 
@@ -250,17 +240,17 @@ def _dir_norm_compression(q: float) -> tuple[str, str]:
 
 
 CASES = {
-    "MCCARTHY": InequalityCase("MCCARTHY", "psd", "q > 0", "pair"),
-    "GOLDEN_THOMPSON": InequalityCase("GOLDEN_THOMPSON", "hermitian", "t >= 0", "pair"),
-    "MAIN_TRACE": InequalityCase("MAIN_TRACE", "pd-for-cm0", "g in CM0|BF0|BF1|BF2|quadratic", "pair+func"),
-    "COR_ABQ": InequalityCase("COR_ABQ", "pd-for-negative-q", "q <= 3 (beyond: stated-sense evaluation)", "pair"),
-    "COR_PMEAN": InequalityCase("COR_PMEAN", "psd", "p >= 1", "pair"),
-    "COR_FALTQ": InequalityCase("COR_FALTQ", "pd-for-negative-q", "(0,3] u (-inf,-2]; (-2,0) and q>3 conjecture", "pair"),
-    "ALT": InequalityCase("ALT", "pd-for-negative-q", "any q != 0 (eq at |q|=2)", "pair"),
-    "PROP_Q4": InequalityCase("PROP_Q4", "psd", "fixed q = 4", "pair"),
-    "COR_ABQ3": InequalityCase("COR_ABQ3", "pd", "as COR_FALTQ", "cd"),
-    "NORM_COMPRESSION": InequalityCase("NORM_COMPRESSION", "psd", "(0,3]; q>3 conjecture", "blocks"),
-    "TRACE_SUBADD": InequalityCase("TRACE_SUBADD", "psd", "g in CM0|BF0|BFk", "pair+func"),
+    "MCCARTHY": InequalityCase("MCCARTHY", "pair"),
+    "GOLDEN_THOMPSON": InequalityCase("GOLDEN_THOMPSON", "pair"),
+    "MAIN_TRACE": InequalityCase("MAIN_TRACE", "pair+func"),
+    "COR_ABQ": InequalityCase("COR_ABQ", "pair"),
+    "COR_PMEAN": InequalityCase("COR_PMEAN", "pair"),
+    "COR_FALTQ": InequalityCase("COR_FALTQ", "pair"),
+    "ALT": InequalityCase("ALT", "pair"),
+    "PROP_Q4": InequalityCase("PROP_Q4", "pair"),
+    "COR_ABQ3": InequalityCase("COR_ABQ3", "cd"),
+    "NORM_COMPRESSION": InequalityCase("NORM_COMPRESSION", "blocks"),
+    "TRACE_SUBADD": InequalityCase("TRACE_SUBADD", "pair+func"),
 }
 
 
@@ -364,10 +354,23 @@ def cor_pmean_gap(a, b, p: float, **meta) -> TrialRecord:
     return _record("COR_PMEAN", direction, VERDICT, lhs, rhs, q=p, dim=ah.dim, **meta)
 
 
-def _sandwich(deca: mc.SpectralDecomposition, bh: HermitianMatrix) -> HermitianMatrix:
-    """A^{1/2} B A^{1/2} from the decomposition of A."""
+def _sandwich_trace_power(
+    deca: mc.SpectralDecomposition, decb: mc.SpectralDecomposition, bh: HermitianMatrix, s: float
+) -> float:
+    """trace (A^{1/2} B A^{1/2})^s from the decompositions of A and B.
+
+    For s < 0 it is evaluated as trace (A^{-1/2} B^{-1} A^{-1/2})^{-s}.  The
+    inverse factors enforce the positivity floor on A and B; the sandwich
+    itself has the product of their condition numbers, so a second floor on
+    it would reject valid PD pairs, and its small eigenvalues carry only
+    absolute accuracy, which s < 0 would amplify.
+    """
+    if s < 0:
+        ainv_half = _half_power_matrix(deca, -0.5)
+        binv = _half_power_matrix(decb, -1.0)
+        return mc.trace_power(HermitianMatrix(ainv_half @ binv @ ainv_half), -s)
     ahalf = _half_power_matrix(deca, 0.5)
-    return HermitianMatrix(ahalf @ bh.entries @ ahalf)
+    return mc.trace_power(HermitianMatrix(ahalf @ bh.entries @ ahalf), s)
 
 
 def cor_faltq_gap(a, b, q: float, **meta) -> TrialRecord:
@@ -375,12 +378,8 @@ def cor_faltq_gap(a, b, q: float, **meta) -> TrialRecord:
     direction, mode = _dir_cor_faltq(q)
     ah, bh = mc.as_hermitian(a), mc.as_hermitian(b)
     deca, decb = mc.eigh(ah), mc.eigh(bh)
-    if q < 0:
-        # strict positivity required of both factors before sandwiching
-        mc._domain_checked_eigenvalues(deca.eigenvalues, "positive")
-        mc._domain_checked_eigenvalues(decb.eigenvalues, "positive")
     lhs = _sum_power_lhs(ah, bh, deca, decb, q)
-    rhs = (2.0**q - 2.0) * mc.trace_power(_sandwich(deca, bh), q / 2.0)
+    rhs = (2.0**q - 2.0) * _sandwich_trace_power(deca, decb, bh, q / 2.0)
     return _record("COR_FALTQ", direction, mode, lhs, rhs, q=q, dim=ah.dim, **meta)
 
 
@@ -391,7 +390,7 @@ def alt_gap(a, b, q: float, **meta) -> TrialRecord:
     ah, bh = mc.as_hermitian(a), mc.as_hermitian(b)
     deca, decb = mc.eigh(ah), mc.eigh(bh)
     lhs = _real_product_trace(_half_power_matrix(deca, q / 2.0), _half_power_matrix(decb, q / 2.0))
-    rhs = mc.trace_power(_sandwich(deca, bh), q / 2.0)
+    rhs = _sandwich_trace_power(deca, decb, bh, q / 2.0)
     return _record("ALT", direction, mode, lhs, rhs, q=q, dim=ah.dim, **meta)
 
 

@@ -1,9 +1,10 @@
 """Dense Hermitian linear-algebra kernel.
 
-Construction, spectral decomposition via cyclic Jacobi rotations, spectral
-function application, traces, Schatten norms, 2x2 block assembly and seeded
-random PSD ensembles.  Everything is a pure function of its inputs; random
-generation is always seed-parameterized, never global.
+Construction, spectral decomposition (LAPACK through numpy.linalg.eigh),
+spectral function application, traces, Schatten norms, 2x2 block assembly and
+seeded random PSD ensembles.  Everything is a pure function of its inputs;
+random generation is always seed-parameterized, never global.  Results are
+bit-for-bit repeatable within one numpy/LAPACK build and BLAS thread setting.
 """
 
 from __future__ import annotations
@@ -18,13 +19,11 @@ __all__ = [
     "MatcoreError",
     "ShapeError",
     "DomainError",
-    "ConvergenceError",
     "HermitianMatrix",
     "GeneralMatrix",
     "SpectralDecomposition",
     "eigh",
     "apply_spectral_function",
-    "spectral_trace",
     "matrix_power",
     "trace_power",
     "matrix_exp",
@@ -43,13 +42,6 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
 ]
-
-# Rotation cap for the Jacobi eigensolver: cap = factor * dim**2.
-EIGH_ROTATION_CAP_FACTOR = 100
-
-# Off-diagonal Frobenius mass below this (relative to the matrix norm) stops
-# the Jacobi iteration; comfortably under the 1e-10 reconstruction contract.
-EIGH_OFF_DIAGONAL_STOP = 1e-13
 
 # Functions requiring x > 0 reject spectra whose minimum eigenvalue is below
 # this fraction of max(lambda_max, 1).
@@ -74,10 +66,6 @@ class ShapeError(MatcoreError):
 
 class DomainError(MatcoreError):
     """An eigenvalue (or parameter) falls outside a function's domain."""
-
-
-class ConvergenceError(MatcoreError):
-    """Jacobi iteration exceeded its rotation cap."""
 
 
 def _as_square_complex(entries) -> np.ndarray:
@@ -180,88 +168,18 @@ class SpectralDecomposition:
         return _fro(v.conj().T @ v - np.eye(self.dim))
 
 
-# np.linalg is deliberately not used for decompositions; the one exception is
-# QR inside random_unitary (ensemble plumbing).  Frobenius norms are summed
-# directly.
 def _fro(m: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(m) ** 2)))
 
 
-def _off_diagonal_norm(m: np.ndarray) -> float:
-    off = m - np.diag(np.diag(m))
-    return _fro(off)
+def eigh(a) -> SpectralDecomposition:
+    """Spectral decomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
 
-
-def eigh(a, rotation_cap: int | None = None) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Eigenvalues are returned ascending.  Degenerate eigenvalues yield multiple
-    rank-one terms; no clustering is attempted.
-
-    Raises ConvergenceError if the off-diagonal mass has not fallen below the
-    stopping threshold after the rotation cap (default 100 * dim**2).
+    Eigenvalues are returned ascending with orthonormal eigenvector columns;
+    both arrays are read-only.  Degenerate eigenvalues yield multiple rank-one
+    terms; no clustering is attempted.
     """
-    ah = as_hermitian(a)
-    n = ah.dim
-    m = ah.entries.copy()
-    v = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return SpectralDecomposition(np.array([m[0, 0].real]), v)
-
-    scale = _fro(m)
-    if scale == 0.0:
-        return SpectralDecomposition(np.zeros(n), v)
-
-    cap = rotation_cap if rotation_cap is not None else EIGH_ROTATION_CAP_FACTOR * n * n
-    stop = EIGH_OFF_DIAGONAL_STOP * scale
-    skip = 1e-16 * scale
-    rotations = 0
-
-    while _off_diagonal_norm(m) > stop:
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                alpha = m[p, q]
-                beta = abs(alpha)
-                if beta <= skip:
-                    continue
-                rotations += 1
-                if rotations > cap:
-                    raise ConvergenceError(
-                        f"Jacobi did not converge within {cap} rotations (dim={n})"
-                    )
-                phase = alpha / beta
-                tau = (m[q, q].real - m[p, p].real) / (2.0 * beta)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-
-                # A <- U^H A U with U = I except U[pp]=c, U[pq]=s,
-                # U[qp]=-s*conj(phase), U[qq]=c*conj(phase).
-                cp = m[:, p].copy()
-                cq = m[:, q].copy()
-                m[:, p] = c * cp - (s * np.conj(phase)) * cq
-                m[:, q] = s * cp + (c * np.conj(phase)) * cq
-                rp = m[p, :].copy()
-                rq = m[q, :].copy()
-                m[p, :] = c * rp - (s * phase) * rq
-                m[q, :] = s * rp + (c * phase) * rq
-                m[p, q] = 0.0
-                m[q, p] = 0.0
-                m[p, p] = m[p, p].real
-                m[q, q] = m[q, q].real
-
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - (s * np.conj(phase)) * vq
-                v[:, q] = s * vp + (c * np.conj(phase)) * vq
-
-    lam = np.diag(m).real.copy()
-    order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    v = v[:, order]
+    lam, v = np.linalg.eigh(as_hermitian(a).entries)
     lam.setflags(write=False)
     v.setflags(write=False)
     return SpectralDecomposition(lam, v)
@@ -316,13 +234,6 @@ def apply_spectral_function(a, g: Callable) -> HermitianMatrix:
     vals = _eval_on_spectrum(g, lam)
     v = dec.eigenvectors
     return HermitianMatrix((v * vals) @ v.conj().T)
-
-
-def spectral_trace(a, g: Callable) -> float:
-    """trace g(A) computed as sum_k g(a_k)."""
-    dec = eigh(a)
-    lam = _domain_checked_eigenvalues(dec.eigenvalues, getattr(g, "domain", "real"))
-    return float(np.sum(_eval_on_spectrum(g, lam)))
 
 
 def _power_domain(q: float) -> str:

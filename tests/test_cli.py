@@ -56,6 +56,25 @@ class TestVerify:
             TrialRecord.from_json(json.loads(line))
         assert "FAIL" in err  # summary goes to stderr when streaming to stdout
 
+    def test_records_stream_before_the_last_plan(self, tmp_path, capsys, monkeypatch):
+        out_file = tmp_path / "records.jsonl"
+        written_before_call = []
+        sweep_records = ex.sweep_records
+
+        def spy(plan):
+            written_before_call.append(out_file.read_text().count("\n") if out_file.exists() else 0)
+            return sweep_records(plan)
+
+        monkeypatch.setattr(ex, "sweep_records", spy)
+        code, out, _ = run(
+            ["verify", "--case", "MCCARTHY,ALT", "--trials", "6", "--dim", "2", "--out", str(out_file)],
+            capsys,
+        )
+        assert code == 0
+        assert len(written_before_call) == 2
+        assert written_before_call[-1] > 0  # MCCARTHY's records are out before ALT runs
+        assert "verify: 12 records, 0 FAIL, 0 SKIPPED" in out
+
     def test_unknown_case_is_usage_error(self, capsys):
         code, _, err = run(["verify", "--case", "NOSUCH"], capsys)
         assert code == 2
@@ -249,6 +268,13 @@ class TestConfigHandling:
 
     def test_missing_command_usage(self, capsys):
         assert cli.main([]) == 2
+
+    @pytest.mark.parametrize("flag", ["--q", "--p"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_numbers_are_usage_errors(self, flag, value, capsys):
+        code, _, err = run(["sweep", "--case", "COR_ABQ", flag, value, "--dim", "2", "--trials", "2"], capsys)
+        assert code == 2
+        assert "finite" in err
 
 
 class TestPlotData:

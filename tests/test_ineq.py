@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,6 +27,16 @@ def pd_pair(dim, seed, shift=0.1):
 def psd_pair(dim, seed):
     rng = np.random.default_rng(seed)
     return mc.psd_from_rng(rng, dim, dim), mc.psd_from_rng(rng, dim, dim)
+
+
+def mp_sandwich_trace_power(a, b, s, dps=60):
+    """trace (A^{1/2} B A^{1/2})^s evaluated in mpmath at `dps` digits."""
+    with mpmath.workdps(dps):
+        ma, mb = mpmath.matrix(a.tolist()), mpmath.matrix(b.tolist())
+        e, q = mpmath.eighe(ma)
+        root = q * mpmath.diag([mpmath.sqrt(x) for x in e]) * q.H
+        lam = mpmath.eighe(root * mb * root, eigvals_only=True)
+        return float(mpmath.fsum(x**s for x in lam))
 
 
 class TestTrialRecord:
@@ -288,6 +299,28 @@ class TestCorFaltq:
                     assert faltq.rhs <= abq.rhs + tol
                 else:  # q <= -2: coefficient negative, ALT ">=": rhs grows
                     assert faltq.rhs >= abq.rhs - tol
+
+
+class TestNegativeSandwichPowers:
+    # A^{1/2} B A^{1/2} carries the product of the factors' condition numbers;
+    # only A and B themselves are held to the positivity floor.
+    def test_graded_equality_pair(self):
+        a = np.diag([1.0, 1e-5])
+        recs = [ineq.cor_faltq_gap(a, a, q) for q in (-3.0, -2.0)] + [ineq.alt_gap(a, a, -1.0)]
+        for rec in recs:
+            assert rec.verdict == "PASS"
+            assert abs(rec.gap) <= rec.tol
+
+    def test_ill_conditioned_wishart_draw(self):
+        # factor spectra [3.0e-4, 9.44] and [4.8e-5, 5.47]: the sandwich's
+        # smallest eigenvalue sits below a floor applied to the sandwich
+        rng = np.random.default_rng(41983405767839000)
+        a = mc.random_ensemble("wishart", 3, rng)
+        b = mc.random_ensemble("wishart", 3, rng)
+        rec = ineq.cor_faltq_gap(a, b, -3.0)
+        assert rec.verdict == "PASS"
+        expected = (2.0**-3.0 - 2.0) * mp_sandwich_trace_power(a.entries, b.entries, -1.5)
+        assert abs(rec.rhs - expected) <= 1e-8 * abs(expected)
 
 
 class TestAlt:

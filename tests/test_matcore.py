@@ -2,12 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from tracelab import matcore as mc
 from tracelab.matcore import (
-    ConvergenceError,
     DomainError,
     GeneralMatrix,
     HermitianMatrix,
@@ -82,17 +82,17 @@ class TestEigh:
             got = mc.eigh(a).eigenvalues
             assert np.allclose(got, expected, atol=1e-10 * max(1.0, abs(t)))
 
-    def test_matches_lapack(self):
-        for seed in range(20):
-            a = mc.random_hermitian(5, seed=seed)
+    def test_matches_mpmath(self):
+        # independent oracle: mpmath's Hermitian eigensolver at 40 digits
+        cases = [mc.random_hermitian(dim, seed=100 * dim + k) for dim in range(1, 9) for k in range(3)]
+        u = mc.random_unitary(4, seed=12).entries
+        cases.append(HermitianMatrix((u * np.array([1.0, 1.0, 2.0, 3.0])) @ u.conj().T))
+        for a in cases:
             got = mc.eigh(a).eigenvalues
-            ref = np.linalg.eigvalsh(a.entries)
-            assert np.allclose(got, ref, atol=1e-11 * max(1.0, fro(a.entries)))
-
-    def test_rotation_cap_raises(self):
-        a = mc.random_hermitian(6, seed=3)
-        with pytest.raises(ConvergenceError):
-            mc.eigh(a, rotation_cap=2)
+            with mpmath.workdps(40):
+                ref = mpmath.eighe(mpmath.matrix(a.entries.tolist()), eigvals_only=True)
+                ref = np.array([float(x) for x in ref])
+            assert np.allclose(got, ref, rtol=0.0, atol=1e-13 * max(1.0, fro(a.entries)))
 
     def test_zero_and_scalar_matrices(self):
         dec = mc.eigh(np.zeros((3, 3)))
