@@ -359,18 +359,33 @@ def _sandwich_trace_power(
 ) -> float:
     """trace (A^{1/2} B A^{1/2})^s from the decompositions of A and B.
 
-    For s < 0 it is evaluated as trace (A^{-1/2} B^{-1} A^{-1/2})^{-s}.  The
-    inverse factors enforce the positivity floor on A and B; the sandwich
-    itself has the product of their condition numbers, so a second floor on
-    it would reject valid PD pairs, and its small eigenvalues carry only
-    absolute accuracy, which s < 0 would amplify.
+    For s < 0 it is evaluated as sum sigma_i^{-2s} over the singular values of
+    C = B^{-1/2} A^{-1/2}, since (A^{1/2} B A^{1/2})^{-1} = C^* C.  The inverse
+    factors enforce the positivity floor on A and B; the sandwich itself has
+    the product of their condition numbers, so a second floor on it would
+    reject valid PD pairs.  Its small eigenvalues, and those of C^* C, carry
+    only absolute accuracy, which s < 0 would amplify; the singular values of
+    C lose only half as many digits.
     """
     if s < 0:
-        ainv_half = _half_power_matrix(deca, -0.5)
-        binv = _half_power_matrix(decb, -1.0)
-        return mc.trace_power(HermitianMatrix(ainv_half @ binv @ ainv_half), -s)
+        c = _half_power_matrix(decb, -0.5) @ _half_power_matrix(deca, -0.5)
+        return float(np.sum(mc.singular_values(c) ** (-2.0 * s)))
     ahalf = _half_power_matrix(deca, 0.5)
     return mc.trace_power(HermitianMatrix(ahalf @ bh.entries @ ahalf), s)
+
+
+def _power_product_trace(
+    deca: mc.SpectralDecomposition, decb: mc.SpectralDecomposition, p: float
+) -> float:
+    """trace A^p B^p = sum_ij a_i^p b_j^p |<u_i, v_j>|^2.
+
+    The terms are nonnegative, so the sum has no cancellation; forming A^p and
+    B^p first loses digits when both are ill conditioned (p < 0).
+    """
+    overlap = np.abs(deca.eigenvectors.conj().T @ decb.eigenvectors) ** 2
+    av = mc._power_on_spectrum(deca.eigenvalues, p)
+    bv = mc._power_on_spectrum(decb.eigenvalues, p)
+    return float(av @ overlap @ bv)
 
 
 def cor_faltq_gap(a, b, q: float, **meta) -> TrialRecord:
@@ -389,7 +404,7 @@ def alt_gap(a, b, q: float, **meta) -> TrialRecord:
     direction, mode = _dir_alt(q)
     ah, bh = mc.as_hermitian(a), mc.as_hermitian(b)
     deca, decb = mc.eigh(ah), mc.eigh(bh)
-    lhs = _real_product_trace(_half_power_matrix(deca, q / 2.0), _half_power_matrix(decb, q / 2.0))
+    lhs = _power_product_trace(deca, decb, q / 2.0)
     rhs = _sandwich_trace_power(deca, decb, bh, q / 2.0)
     return _record("ALT", direction, mode, lhs, rhs, q=q, dim=ah.dim, **meta)
 

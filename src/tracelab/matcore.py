@@ -1,10 +1,11 @@
 """Dense Hermitian linear-algebra kernel.
 
 Construction, spectral decomposition (LAPACK through numpy.linalg.eigh),
-spectral function application, traces, Schatten norms, 2x2 block assembly and
-seeded random PSD ensembles.  Everything is a pure function of its inputs;
-random generation is always seed-parameterized, never global.  Results are
-bit-for-bit repeatable within one numpy/LAPACK build and BLAS thread setting.
+spectral function application, traces, singular values (numpy.linalg.svd),
+Schatten norms, 2x2 block assembly and seeded random PSD ensembles.
+Everything is a pure function of its inputs; random generation is always
+seed-parameterized, never global.  Results are bit-for-bit repeatable within
+one numpy/LAPACK build and BLAS thread setting.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "mat_mul",
     "frobenius",
     "schatten_norm",
+    "singular_values",
     "random_psd",
     "random_hermitian",
     "random_unitary",
@@ -305,6 +307,15 @@ def schatten_norm(x, q: float) -> float:
     lam = _domain_checked_eigenvalues(eigh(gram).eigenvalues, "nonneg")
     sigma = np.sqrt(lam)
     return float(np.sum(sigma**q) ** (1.0 / q))
+
+
+def singular_values(x) -> np.ndarray:
+    """Singular values of a matrix by LAPACK (numpy.linalg.svd), descending.
+
+    Each carries an absolute error of about eps * sigma_max, where the
+    eigenvalues of X^* X carry eps * sigma_max^2.
+    """
+    return np.linalg.svd(_coerce(x), compute_uv=False)
 
 
 # ---------------------------------------------------------------------------

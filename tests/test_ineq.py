@@ -311,6 +311,33 @@ class TestNegativeSandwichPowers:
             assert rec.verdict == "PASS"
             assert abs(rec.gap) <= rec.tol
 
+    def test_inverse_sandwich_keeps_small_eigenvalues(self):
+        # A^{-1/2} B^{-1} A^{-1/2} = diag(1, 1e14): its eigenvalue 1 lies
+        # below 1e-12 of the largest and must still count
+        a = np.diag([1.0, 1e-7])
+        rec = ineq.alt_gap(a, a, -1.0)
+        assert rec.verdict == "PASS"
+        assert abs(rec.gap) <= rec.tol
+        assert rec.rhs == pytest.approx(1e7 + 1.0, rel=1e-12)
+        # A = B: both sides equal (2^q - 2) trace A^q, so the exact gap is 0
+        rec = ineq.cor_faltq_gap(a, a, -1.0)
+        assert abs(rec.gap) <= rec.tol
+
+    def test_rotated_commuting_pairs(self):
+        # A and B share eigenvectors, so ALT is an equality at every q; the
+        # spectra span up to 1e8, and A^{q/2}, B^{q/2} built as matrices lose
+        # digits to cancellation in trace A^{q/2} B^{q/2}
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            u = mc.unitary_from_rng(rng, 3)
+            la = 10 ** rng.uniform(-7.9, 0.0, size=3)
+            lb = 10 ** rng.uniform(-7.9, 0.0, size=3)
+            a, b = (u * la) @ u.conj().T, (u * lb) @ u.conj().T
+            for q in (-3.0, -1.0, -0.5):
+                rec = ineq.alt_gap(a, b, q)
+                assert rec.verdict == "PASS"
+                assert abs(rec.gap) <= rec.tol
+
     def test_ill_conditioned_wishart_draw(self):
         # factor spectra [3.0e-4, 9.44] and [4.8e-5, 5.47]: the sandwich's
         # smallest eigenvalue sits below a floor applied to the sandwich

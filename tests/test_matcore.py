@@ -186,6 +186,18 @@ class TestTraceAndProducts:
             mc.trace_of(np.ones((2, 3)))
 
 
+class TestSingularValues:
+    def test_graded_spectrum(self):
+        # the smallest value is below eps * sigma_max^2, so the eigenvalues
+        # of X^* X lose it; the singular values keep it to a few ulps of 3
+        rng = np.random.default_rng(12)
+        u, v = mc.unitary_from_rng(rng, 3), mc.unitary_from_rng(rng, 3)
+        sigma = np.array([3.0, 2.0, 1e-9])
+        got = mc.singular_values((u * sigma) @ v.conj().T)
+        assert np.allclose(got[:2], sigma[:2], rtol=1e-14)
+        assert got[2] == pytest.approx(1e-9, rel=1e-5)
+
+
 class TestSchattenNorm:
     def test_identity_q2(self):
         assert abs(mc.schatten_norm(np.eye(2), 2.0) - math.sqrt(2.0)) < 1e-12
