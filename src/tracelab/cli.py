@@ -271,12 +271,12 @@ def _case_q_grid(case: str, config: RunConfig) -> tuple[float | None, ...]:
 
 def _verify_plans(case: str, config: RunConfig, case_seed: int) -> list[ex.SweepPlan]:
     funcs: tuple = (None,)
-    if ineq.CASES[case].needs == "pair+func":
+    if ineq.CASES[case].needs_func:
         raw = (config.func,) if config.func is not None else VERIFY_FUNCS[case]
         funcs = tuple(fc.function_from_json(d) for d in raw)
     grid = _case_q_grid(case, config) if funcs == (None,) else (None,)
     n_cells = max(1, len(grid) * len(config.dims) * len(funcs))
-    per_cell = max(1, config.trials // n_cells)
+    per_cell = -(-config.trials // n_cells)  # at least config.trials per case
     plans = []
     for k, func in enumerate(funcs):
         plans.append(
@@ -295,30 +295,18 @@ def _verify_plans(case: str, config: RunConfig, case_seed: int) -> list[ex.Sweep
 
 
 def _explicit_matrix_records(case: str, config: RunConfig) -> list[ineq.TrialRecord]:
-    needs = ineq.CASES[case].needs
-    m = config.matrices
-    if needs in ("pair", "pair+func"):
-        keys = ("matrix_a", "matrix_b")
-        inputs = {"a": m.get("matrix_a"), "b": m.get("matrix_b")}
-    elif needs == "cd":
-        keys = ("matrix_c", "matrix_d")
-        inputs = {"c": m.get("matrix_c"), "d": m.get("matrix_d")}
-    else:
-        keys = ("matrix_b", "matrix_c", "matrix_d")
-        inputs = {"b": m.get("matrix_b"), "c": m.get("matrix_c"), "d": m.get("matrix_d")}
-    missing = [k for k, v in zip(keys, inputs.values()) if v is None]
+    entry = ineq.CASES[case]
+    missing = [f"matrix_{k}" for k in entry.kind.keys if f"matrix_{k}" not in config.matrices]
     if missing:
         raise UsageError(f"case {case} with explicit matrices needs config keys {missing}")
-    func = _parse_func(config, case) if needs == "pair+func" else None
-    records = []
-    for q in _case_q_grid(case, config):
-        records.append(
-            ex.evaluate_case(
-                case, inputs, q=q, func=func, tol_rel=config.tol_rel,
-                seed=-1, ensemble="explicit",
-            )
+    inputs = {k: config.matrices[f"matrix_{k}"] for k in entry.kind.keys}
+    func = _parse_func(config, case) if entry.needs_func else None
+    return [
+        ex.evaluate_case(
+            case, inputs, q=q, func=func, tol_rel=config.tol_rel, seed=-1, ensemble="explicit",
         )
-    return records
+        for q in _case_q_grid(case, config)
+    ]
 
 
 def cmd_verify(config: RunConfig) -> int:
@@ -372,7 +360,7 @@ def _single_case(config: RunConfig) -> str:
 
 def _build_plan(config: RunConfig, case: str) -> ex.SweepPlan:
     func = None
-    if ineq.CASES[case].needs == "pair+func":
+    if ineq.CASES[case].needs_func:
         func = _parse_func(config, case)
         grid: tuple[float | None, ...] = (None,)
     elif case == "PROP_Q4":
@@ -413,7 +401,7 @@ def cmd_search(config: RunConfig) -> int:
     case = _single_case(config)
     func = None
     q: float | None = None
-    if ineq.CASES[case].needs == "pair+func":
+    if ineq.CASES[case].needs_func:
         func = _parse_func(config, case)
     elif case != "PROP_Q4":
         values = config.p_values if case == "COR_PMEAN" else config.q_values
@@ -496,7 +484,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", help="q grid, comma separated")
     p.add_argument("--p", help="p grid for the power-means case")
     p.add_argument("--dim", help="matrix dimensions, comma separated")
-    p.add_argument("--trials", type=int, help="trials per cell (sweep/probe) or per case (verify)")
+    p.add_argument(
+        "--trials", type=int, help="trials per cell (sweep/probe), or at least this many per case (verify)"
+    )
     p.add_argument("--seed", type=int, help="base seed")
     p.add_argument("--tol", type=float, help="relative verdict tolerance")
     p.add_argument("--ensemble", help="wishart | rank_deficient | rotated_uniform")

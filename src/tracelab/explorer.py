@@ -16,7 +16,7 @@ from . import funclass as fc
 from . import ineq
 from . import matcore as mc
 from .ineq import DEFAULT_TOL_REL, TrialRecord
-from .matcore import DomainError, GeneralMatrix, HermitianMatrix
+from .matcore import DomainError, HermitianMatrix
 
 __all__ = [
     "SweepPlan",
@@ -39,6 +39,9 @@ SWEEP_CSV_HEADER = "case,q,dim,ensemble,trials,violations,min_gap,worst_seed"
 
 CELL_SEED_STRIDE = 10**6
 
+# Trials per stacked evaluation: bounds memory for any cell or search size.
+CHUNK_TRIALS = 256
+
 # Gaussian refinement inside search_counterexample.
 SEARCH_REFINE_STEPS = 50
 SEARCH_INITIAL_STEP = 0.5
@@ -60,13 +63,16 @@ class SweepPlan:
     def __post_init__(self):
         if self.case not in ineq.CASES:
             raise ValueError(f"unknown case {self.case!r}; choose from {sorted(ineq.CASES)}")
-        if self.trials_per_cell < 1:
-            raise ValueError("trials_per_cell must be >= 1")
+        if not 1 <= self.trials_per_cell < CELL_SEED_STRIDE:
+            raise ValueError(
+                f"trials_per_cell must be in [1, {CELL_SEED_STRIDE}), so that cells "
+                f"draw from disjoint seed ranges; got {self.trials_per_cell}"
+            )
         if not self.q_grid or not self.dims:
             raise ValueError("q_grid and dims must be non-empty")
         if self.ensemble not in mc.ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
-        if ineq.CASES[self.case].needs == "pair+func" and self.func is None:
+        if ineq.CASES[self.case].needs_func and self.func is None:
             raise ValueError(f"case {self.case} needs a scalar function spec")
         object.__setattr__(self, "q_grid", tuple(self.q_grid))
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
@@ -177,89 +183,27 @@ class SweepSummary:
 
 def draw_inputs(case: str, dim: int, ensemble: str, rng: np.random.Generator) -> dict:
     """Draw the matrices one trial of `case` consumes, from one generator."""
-    needs = ineq.CASES[case].needs
-    if needs in ("pair", "pair+func"):
-        return {
-            "a": mc.random_ensemble(ensemble, dim, rng),
-            "b": mc.random_ensemble(ensemble, dim, rng),
-        }
-    if needs == "blocks":
-        whole = mc.random_ensemble(ensemble, 2 * dim, rng)
-        b, c, d = mc.split_blocks(whole, dim)
-        return {"b": b, "c": c, "d": d}
-    if needs == "cd":
-        c = GeneralMatrix(mc.random_complex_gaussian(rng, dim, dim))
-        d = mc.random_ensemble(ensemble, dim, rng)
-        return {"c": c, "d": d}
-    raise ValueError(f"unhandled input kind {needs!r}")
+    kind = ineq.CASES[case].kind
+    return dict(zip(kind.keys, kind.draw(rng, ensemble, dim)))
 
 
-def evaluate_case(
-    case: str,
-    inputs: dict,
-    *,
-    q: float | None = None,
-    func: fc.ScalarFunction | None = None,
-    tol_rel: float = DEFAULT_TOL_REL,
-    seed: int = -1,
-    ensemble: str = "direct",
-) -> TrialRecord:
-    """Evaluate one catalog case on explicit inputs."""
-    meta = {"tol_rel": tol_rel, "seed": seed, "ensemble": ensemble}
-    if case == "MCCARTHY":
-        return ineq.mccarthy_gap(inputs["a"], inputs["b"], q, **meta)
-    if case == "GOLDEN_THOMPSON":
-        return ineq.golden_thompson_gap(inputs["a"], inputs["b"], q, **meta)
-    if case == "MAIN_TRACE":
-        return ineq.main_trace_ineq(func, inputs["a"], inputs["b"], **meta)
-    if case == "COR_ABQ":
-        return ineq.cor_abq_gap(inputs["a"], inputs["b"], q, **meta)
-    if case == "COR_PMEAN":
-        return ineq.cor_pmean_gap(inputs["a"], inputs["b"], q, **meta)
-    if case == "COR_FALTQ":
-        return ineq.cor_faltq_gap(inputs["a"], inputs["b"], q, **meta)
-    if case == "ALT":
-        return ineq.alt_gap(inputs["a"], inputs["b"], q, **meta)
-    if case == "PROP_Q4":
-        residual, rec = ineq.prop_q4_check(inputs["a"], inputs["b"], **meta)
-        scale = max(abs(rec.lhs), abs(rec.rhs), 1.0)
-        if residual > 1e-9 * scale:
-            raise DomainError(
-                f"q=4 expansion identity failed: residual {residual:.3e} vs scale {scale:.3e}"
-            )
-        return rec
-    if case == "COR_ABQ3":
-        return ineq.cor_abq3_gap(inputs["c"], inputs["d"], q, **meta)
-    if case == "NORM_COMPRESSION":
-        return ineq.norm_compression_gap(inputs["b"], inputs["c"], inputs["d"], q, **meta)
-    if case == "TRACE_SUBADD":
-        return ineq.trace_subadd_gap(func, inputs["a"], inputs["b"], **meta)
-    raise ValueError(f"unknown case {case!r}")
-
-
-def _skipped(case, q, dim, seed, ensemble, reason) -> TrialRecord:
-    return TrialRecord(
-        case=case, q=q, dim=dim, seed=seed, ensemble=ensemble,
-        lhs=0.0, rhs=0.0, gap=0.0, tol=0.0, verdict="SKIPPED", reason=reason,
-    )
+# Evaluate one catalog case on explicit inputs {key: matrix}; raises
+# DomainError where a sweep would skip the trial.
+evaluate_case = ineq.evaluate_one
 
 
 def run_cell(plan: SweepPlan, cell_index: int, q: float | None, dim: int) -> list[TrialRecord]:
     """All trial records of one cell; trial j uses seed
-    base_seed + cell_index * 10**6 + j."""
-    records = []
-    for j in range(plan.trials_per_cell):
-        seed = plan.base_seed + cell_index * CELL_SEED_STRIDE + j
-        rng = np.random.default_rng(seed)
-        try:
-            inputs = draw_inputs(plan.case, dim, plan.ensemble, rng)
-            rec = evaluate_case(
-                plan.case, inputs, q=q, func=plan.func,
-                tol_rel=plan.tol_rel, seed=seed, ensemble=plan.ensemble,
-            )
-        except DomainError as exc:
-            rec = _skipped(plan.case, q, dim, seed, plan.ensemble, str(exc))
-        records.append(rec)
+    base_seed + cell_index * 10**6 + j.  Each trial is drawn from its own
+    generator; the draws are stacked and evaluated CHUNK_TRIALS at a time."""
+    first = plan.base_seed + cell_index * CELL_SEED_STRIDE
+    records: list[TrialRecord] = []
+    for lo in range(0, plan.trials_per_cell, CHUNK_TRIALS):
+        seeds = range(first + lo, first + min(lo + CHUNK_TRIALS, plan.trials_per_cell))
+        draws = [draw_inputs(plan.case, dim, plan.ensemble, np.random.default_rng(s)) for s in seeds]
+        inputs = {k: np.stack([d[k] for d in draws]) for k in draws[0]}
+        batch = ineq.evaluate(plan.case, inputs, q, plan.func, plan.tol_rel)
+        records.extend(batch.records(seeds, plan.ensemble, cell=(q, dim)))
     return records
 
 
@@ -330,40 +274,6 @@ def repro_counterexample(q: float, tol_rel: float = DEFAULT_TOL_REL) -> TrialRec
 # ---------------------------------------------------------------------------
 
 
-def _params_to_inputs(case: str, params: np.ndarray, dim: int) -> dict:
-    """Unpack a flat real vector into the case's input matrices, PSD factors
-    kept PSD by the Gram construction."""
-    needs = ineq.CASES[case].needs
-
-    def cmat(vec: np.ndarray, rows: int, cols: int) -> np.ndarray:
-        n = rows * cols
-        return vec[:n].reshape(rows, cols) + 1j * vec[n : 2 * n].reshape(rows, cols)
-
-    if needs in ("pair", "pair+func"):
-        n = 2 * dim * dim
-        ga = cmat(params[:n], dim, dim)
-        gb = cmat(params[n:], dim, dim)
-        return {"a": HermitianMatrix(ga @ ga.conj().T), "b": HermitianMatrix(gb @ gb.conj().T)}
-    if needs == "blocks":
-        g = cmat(params, 2 * dim, 2 * dim)
-        whole = HermitianMatrix(g @ g.conj().T)
-        b, c, d = mc.split_blocks(whole, dim)
-        return {"b": b, "c": c, "d": d}
-    if needs == "cd":
-        n = 2 * dim * dim
-        c = cmat(params[:n], dim, dim)
-        gd = cmat(params[n:], dim, dim)
-        return {"c": GeneralMatrix(c), "d": HermitianMatrix(gd @ gd.conj().T)}
-    raise ValueError(f"unhandled input kind {needs!r}")
-
-
-def _param_count(case: str, dim: int) -> int:
-    needs = ineq.CASES[case].needs
-    if needs == "blocks":
-        return 2 * (2 * dim) * (2 * dim)
-    return 4 * dim * dim
-
-
 def search_counterexample(
     case: str,
     q: float | None,
@@ -376,44 +286,47 @@ def search_counterexample(
     """Minimize the oriented gap over `budget` random restarts, each refined
     by coordinate-wise Gaussian perturbations with step halving on
     non-improvement.  Returns the most negative-gap record found; the record's
-    `detail` carries the input matrices so the gap can be re-evaluated."""
+    `detail` carries the input matrices so the gap can be re-evaluated.
+
+    Up to CHUNK_TRIALS independent restarts advance in lockstep, one stacked
+    evaluation per step.  Row k of a (restarts, nparams + SEARCH_REFINE_STEPS)
+    normal draw holds restart k's start point and step scalars, the stream of
+    running restarts one after another, so candidates and decisions match
+    that loop.  Out-of-domain candidates have gap +inf; NaN never wins.
+    """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if case not in ineq.CASES:
         raise ValueError(f"unknown case {case!r}")
+    kind = ineq.CASES[case].kind
     rng = np.random.default_rng(seed)
-    nparams = _param_count(case, dim)
+    nparams = kind.param_count(dim)
 
-    def gap_of(params: np.ndarray) -> float:
-        try:
-            inputs = _params_to_inputs(case, params, dim)
-            rec = evaluate_case(case, inputs, q=q, func=func, tol_rel=tol_rel)
-        except DomainError:
-            return math.inf
-        return rec.gap
+    def gaps(params: np.ndarray) -> np.ndarray:
+        return ineq.evaluate(case, dict(zip(kind.keys, kind.unpack(params, dim))), q, func, tol_rel).gaps()
 
     best_params = None
     best_gap = math.inf
-    for _ in range(budget):
-        params = rng.standard_normal(nparams)
-        gap = gap_of(params)
-        step = SEARCH_INITIAL_STEP
+    for lo in range(0, budget, CHUNK_TRIALS):
+        draws = rng.standard_normal((min(CHUNK_TRIALS, budget - lo), nparams + SEARCH_REFINE_STEPS))
+        params = draws[:, :nparams].copy()
+        gap = gaps(params)
+        step = np.full(len(params), SEARCH_INITIAL_STEP)
         for it in range(SEARCH_REFINE_STEPS):
-            idx = it % nparams
             candidate = params.copy()
-            candidate[idx] += step * rng.standard_normal()
-            cand_gap = gap_of(candidate)
-            if cand_gap < gap:
-                params, gap = candidate, cand_gap
-            else:
-                step *= 0.5
-        if gap < best_gap:
-            best_gap, best_params = gap, params
+            candidate[:, it % nparams] += step * draws[:, nparams + it]
+            cand_gap = gaps(candidate)
+            better = cand_gap < gap
+            params[better], gap[better] = candidate[better], cand_gap[better]
+            step[~better] *= 0.5
+        k = int(np.argmin(np.where(np.isnan(gap), math.inf, gap)))
+        if gap[k] < best_gap:
+            best_gap, best_params = float(gap[k]), params[k]
 
     if best_params is None or not math.isfinite(best_gap):
         raise DomainError(f"search produced no evaluable candidate for {case} (q={q}, dim={dim})")
 
-    inputs = _params_to_inputs(case, best_params, dim)
+    inputs = {key: m[0] for key, m in zip(kind.keys, kind.unpack(best_params[None], dim))}
     rec = evaluate_case(
         case, inputs, q=q, func=func, tol_rel=tol_rel, seed=seed, ensemble="search"
     )

@@ -3,7 +3,7 @@
 Implements bare completely monotone functions (tag CM0), bare Bernstein
 functions (BF0) and their k-fold primitives (BF1, BF2, ..., "BF{k}"),
 evaluated pointwise or through their half-line integral representations.
-Also hosts the quadrature and gamma machinery backing the power-function
+Also hosts the quadrature machinery backing the power-function
 representations, a finite-difference complete-monotonicity checker, and the
 scalar gap pair g(a+b)-g(a)-g(b) vs g(2*sqrt(ab))-2*g(sqrt(ab)).
 """
@@ -375,36 +375,11 @@ def check_geometric_concavity(x: float, y: float) -> float:
     return f(math.sqrt(x * y)) - math.sqrt(f(x) * f(y))
 
 
-# ---------------------------------------------------------------------------
-# Gamma function (Lanczos)
-# ---------------------------------------------------------------------------
-
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma_fn(x: float) -> float:
-    """Gamma(x) for x > 0 by the Lanczos approximation (g=7, 9 terms)."""
+    """Gamma(x) for x > 0 (math.gamma)."""
     if x <= 0:
         raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    y = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (y + i)
-    t = y + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (y + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 # ---------------------------------------------------------------------------

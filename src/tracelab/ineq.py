@@ -1,16 +1,22 @@
 """The inequality catalog.
 
-Each theorem corollary of the trace-inequality family is an operation that
-evaluates both sides on concrete matrices and returns a TrialRecord with an
-oriented gap: gap = rhs - lhs for "<=" cases and lhs - rhs for ">=" cases, so
-PASS is always gap >= -tol.  Parameter regions where only numerical evidence
-exists never emit FAIL; they emit CONJECTURE_OBS with the signed gap.
+Each case of the trace-inequality family is one entry of CASES: the kind of
+input a trial consumes, the rule that orients its gap, and a kernel that
+evaluates both sides on T stacked trials at once.  The oriented gap is
+gap = rhs - lhs for "<=" cases and lhs - rhs for ">=" cases, so PASS is always
+gap >= -tol.  Parameter regions where only numerical evidence exists never
+emit FAIL; they emit CONJECTURE_OBS with the signed gap.
+
+A kernel never raises for one trial: a trial outside its domain gets a skip
+reason and the others are evaluated.  The per-case functions (mccarthy_gap,
+...) evaluate one trial through the same kernel and raise DomainError with
+that reason instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -21,8 +27,12 @@ from .matcore import DomainError, HermitianMatrix
 __all__ = [
     "DEFAULT_TOL_REL",
     "TrialRecord",
-    "InequalityCase",
+    "InputKind",
+    "Case",
+    "Batch",
     "CASES",
+    "evaluate",
+    "evaluate_one",
     "oriented_gap",
     "mccarthy_gap",
     "golden_thompson_gap",
@@ -43,6 +53,10 @@ DEFAULT_TOL_REL = 1e-9
 
 # Imaginary parts of product traces are asserted below this (relative).
 PRODUCT_TRACE_IMAG_TOL = 1e-10
+
+# PROP_Q4 skips a trial whose expansion identity misses by more than this
+# (relative to max(|lhs|, |rhs|, 1)).
+PROP_Q4_RESIDUAL_REL = 1e-9
 
 VERDICT = "verdict"
 CONJECTURE = "conjecture"
@@ -103,15 +117,8 @@ class TrialRecord:
         )
 
 
-@dataclass(frozen=True)
-class InequalityCase:
-    """Catalog entry: a case id and the inputs one trial consumes."""
-
-    id: str
-    needs: str  # "pair" | "pair+func" | "blocks" | "cd"
-
-
-def oriented_gap(direction: str, lhs: float, rhs: float) -> float:
+def oriented_gap(direction: str, lhs, rhs):
+    """Signed gap, PASS side >= 0; works on floats and on arrays."""
     if direction == "le":
         return rhs - lhs
     if direction == "ge":
@@ -121,198 +128,398 @@ def oriented_gap(direction: str, lhs: float, rhs: float) -> float:
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _record(
-    case: str,
-    direction: str,
-    mode: str,
-    lhs: float,
-    rhs: float,
-    *,
-    q: float | None,
-    dim: int,
-    seed: int = -1,
-    ensemble: str = "direct",
-    tol_rel: float = DEFAULT_TOL_REL,
-    func: str = "",
-    detail: Any = None,
-) -> TrialRecord:
-    tol = tol_rel * max(abs(lhs), abs(rhs), 1.0)
-    gap = oriented_gap(direction, lhs, rhs)
-    if mode == CONJECTURE:
-        verdict = "CONJECTURE_OBS"
-    else:
-        verdict = "PASS" if gap >= -tol else "FAIL"
-    return TrialRecord(
-        case=case, q=q, dim=dim, seed=seed, ensemble=ensemble,
-        lhs=lhs, rhs=rhs, gap=gap, tol=tol, verdict=verdict,
-        func=func, detail=detail,
-    )
+# ---------------------------------------------------------------------------
+# Stacked-trial arithmetic
+# ---------------------------------------------------------------------------
 
 
-def _real_product_trace(x: np.ndarray, y: np.ndarray) -> float:
+class _Trials:
+    """Skip reasons of T stacked trials; a trial keeps its first reason."""
+
+    def __init__(self, count: int):
+        self.reasons = [""] * count
+        self.residual = None  # PROP_Q4's expansion-identity residual
+
+    def flag(self, faults: dict[int, str]) -> None:
+        for i, msg in faults.items():
+            if not self.reasons[i]:
+                self.reasons[i] = msg
+
+    def spectra(self, lam: np.ndarray, domain: str) -> np.ndarray:
+        lam, faults = mc.checked_spectra(lam, domain)
+        self.flag(faults)
+        return lam
+
+    def power(self, lam: np.ndarray, q: float) -> np.ndarray:
+        return np.power(self.spectra(lam, mc._power_domain(q)), q)
+
+
+def _trace_power(tr: _Trials, m: np.ndarray, q: float) -> np.ndarray:
+    return np.sum(tr.power(np.linalg.eigvalsh(m), q), axis=-1)
+
+
+def _product_trace(tr: _Trials, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """trace(X Y) asserted real up to rounding (the product itself need not
     be Hermitian; the trace is, for the expressions used here)."""
-    t = complex(np.sum(x * y.T))
-    scale = max(abs(t), mc.frobenius(x) * mc.frobenius(y), 1.0)
-    if abs(t.imag) > PRODUCT_TRACE_IMAG_TOL * scale:
-        raise DomainError(f"product trace unexpectedly complex: {t!r}")
+    t = np.sum(x * y.mT, axis=(-2, -1))
+    fro = np.sqrt(np.sum(np.abs(x) ** 2, axis=(-2, -1)) * np.sum(np.abs(y) ** 2, axis=(-2, -1)))
+    scale = np.maximum(np.maximum(np.abs(t), fro), 1.0)
+    bad = np.flatnonzero(np.abs(t.imag) > PRODUCT_TRACE_IMAG_TOL * scale)
+    tr.flag({i: f"product trace unexpectedly complex: {complex(t[i])!r}" for i in bad.tolist()})
     return t.real
 
 
-def _power_sum(lam: np.ndarray, q: float) -> float:
-    return float(np.sum(mc._power_on_spectrum(lam, q)))
+def _overlap(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """|<u_i, v_j>|^2 for the eigenvector columns of two decompositions."""
+    return np.abs(va.mT.conj() @ vb) ** 2
 
 
-def _half_power_matrix(dec: mc.SpectralDecomposition, p: float) -> np.ndarray:
-    vals = mc._power_on_spectrum(dec.eigenvalues, p)
-    v = dec.eigenvectors
-    return (v * vals) @ v.conj().T
+def _gram_singular_values(tr: _Trials, m: np.ndarray) -> np.ndarray:
+    """Singular values as square roots of the eigenvalues of M^* M."""
+    lam = np.linalg.eigvalsh(mc.hermitian_part(m.mT.conj() @ m))
+    return np.sqrt(tr.spectra(lam, "nonneg"))
+
+
+def _sum_power_lhs(tr, a, b, lam_a, lam_b, q: float) -> np.ndarray:
+    """trace(A+B)^q - trace A^q - trace B^q."""
+    lhs = _trace_power(tr, a + b, q)
+    return lhs - np.sum(tr.power(lam_a, q), axis=-1) - np.sum(tr.power(lam_b, q), axis=-1)
+
+
+def _sandwich_trace_power(tr, lam_a, va, lam_b, vb, s: float) -> np.ndarray:
+    """trace (A^{1/2} B A^{1/2})^s from the decompositions of A and B.
+
+    The sandwich is C^* C for C = B^{1/2} A^{1/2}, and its inverse is C^* C
+    for C = B^{-1/2} A^{-1/2}, so the trace is sum sigma_i^{2|s|} over the
+    singular values of that C.  Only A and B meet their domain checks (the
+    positivity floor when s < 0); the sandwich carries the product of their
+    condition numbers, and its eigenvalues carry an absolute error of about
+    eps * lambda_max, which drops or distorts genuine small ones.  Singular
+    values carry eps * sigma_max; for s >= 0 those below SPECTRAL_NOISE_REL
+    of the largest are zeros of a rank-deficient C and are snapped to 0.
+    """
+    h = -0.5 if s < 0 else 0.5
+    c = mc.spectral_matrix(vb, tr.power(lam_b, h)) @ mc.spectral_matrix(va, tr.power(lam_a, h))
+    sigma = mc.singular_values(c)
+    if s >= 0:
+        sigma = np.where(sigma < mc.SPECTRAL_NOISE_REL * sigma[:, :1], 0.0, sigma)
+    return np.sum(sigma ** (2.0 * abs(s)), axis=-1)
+
+
+def _z_blocks(tr: _Trials, c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Z, X) with X = C^* D^{-1} C and Z = [[X, C^*], [C, D]]; D > 0."""
+    lam_d, vd = mc.eigh(d)
+    dinv = mc.hermitian_part(mc.spectral_matrix(vd, tr.power(lam_d, -1.0)))
+    x = mc.hermitian_part(c.mT.conj() @ dinv @ c)
+    return mc.assemble_blocks(x, c, d), x
 
 
 # ---------------------------------------------------------------------------
-# Direction maps
+# Kernels: (trials, q, g, *stacked inputs) -> (lhs, rhs), each of shape (T,)
 # ---------------------------------------------------------------------------
 
 
-def _dir_mccarthy(q: float) -> tuple[str, str]:
-    if q <= 0:
-        raise DomainError(f"McCarthy inequality needs q > 0, got {q}")
-    if q == 1:
-        return "eq", VERDICT
-    return ("le", VERDICT) if q < 1 else ("ge", VERDICT)
+def _mccarthy(tr, q, g, a, b):
+    return _trace_power(tr, a + b, q), _trace_power(tr, a, q) + _trace_power(tr, b, q)
 
 
-def _dir_cor_abq(q: float) -> tuple[str, str]:
-    # Stated sense ">=" on (0,1] u [2,3]; reversed on q<0 and [1,2];
-    # q in {0,1,2} are the quadratic equality exponents.  Beyond 3 the
-    # theorem fails in general: evaluation keeps the ">=" orientation and
-    # lets the verdict report what the matrices do.
-    if q in (0.0, 1.0, 2.0):
-        return "eq", VERDICT
+def _golden_thompson(tr, t, g, a, b):
+    lhs = np.sum(np.exp(-t * np.linalg.eigvalsh(a + b)), axis=-1)
+    ea, eb = (
+        mc.hermitian_part(mc.spectral_matrix(v, np.exp(lam)))
+        for lam, v in (mc.eigh(-t * a), mc.eigh(-t * b))
+    )
+    return lhs, _product_trace(tr, ea, eb)
+
+
+def _main_trace(tr, q, g, a, b):
+    domain = "positive" if g.class_tag == "CM0" else "nonneg"
+    (lam_a, va), (lam_b, vb) = mc.eigh(a), mc.eigh(b)
+    av, bv = tr.spectra(lam_a, domain), tr.spectra(lam_b, domain)
+    # every argument of g is validated first: funclass functions reject a
+    # whole array for one out-of-domain entry
+    lam_sum = tr.spectra(np.linalg.eigvalsh(a + b), "positive" if domain == "positive" else g.domain)
+    lhs = np.sum(g(lam_sum), axis=-1) - np.sum(g(av), axis=-1) - np.sum(g(bv), axis=-1)
+    roots = np.sqrt(av[:, :, None] * bv[:, None, :])
+    weights = g(2.0 * roots) - 2.0 * g(roots)
+    return lhs, np.sum(weights * _overlap(va, vb), axis=(-2, -1))
+
+
+def _cor_abq(tr, q, g, a, b):
+    (lam_a, va), (lam_b, vb) = mc.eigh(a), mc.eigh(b)
+    lhs = _sum_power_lhs(tr, a, b, lam_a, lam_b, q)
+    ahalf = mc.spectral_matrix(va, tr.power(lam_a, q / 2.0))
+    bhalf = mc.spectral_matrix(vb, tr.power(lam_b, q / 2.0))
+    return lhs, (2.0**q - 2.0) * _product_trace(tr, ahalf, bhalf)
+
+
+def _cor_pmean(tr, p, g, a, b):
+    (lam_a, va), (lam_b, vb) = mc.eigh(a), mc.eigh(b)
+    ap, bp = mc.spectral_matrix(va, tr.power(lam_a, p)), mc.spectral_matrix(vb, tr.power(lam_b, p))
+    lhs = _trace_power(tr, mc.hermitian_part(0.5 * (ap + bp)), 1.0 / p)
+    coeff = 2.0 ** (1.0 - 1.0 / p)
+    cross = _product_trace(
+        tr, mc.spectral_matrix(va, tr.power(lam_a, 0.5)), mc.spectral_matrix(vb, tr.power(lam_b, 0.5))
+    )
+    traces = np.trace(a, axis1=-2, axis2=-1).real + np.trace(b, axis1=-2, axis2=-1).real
+    return lhs, coeff * 0.5 * traces + (1.0 - coeff) * cross
+
+
+def _cor_faltq(tr, q, g, a, b):
+    (lam_a, va), (lam_b, vb) = mc.eigh(a), mc.eigh(b)
+    lhs = _sum_power_lhs(tr, a, b, lam_a, lam_b, q)
+    return lhs, (2.0**q - 2.0) * _sandwich_trace_power(tr, lam_a, va, lam_b, vb, q / 2.0)
+
+
+def _alt(tr, q, g, a, b):
+    # trace A^p B^p = sum_ij a_i^p b_j^p |<u_i, v_j>|^2: the terms are
+    # nonnegative, so the sum has no cancellation; forming A^p and B^p first
+    # loses digits when both are ill conditioned (p < 0).
+    (lam_a, va), (lam_b, vb) = mc.eigh(a), mc.eigh(b)
+    p = q / 2.0
+    av, bv = tr.power(lam_a, p), tr.power(lam_b, p)
+    lhs = (av[:, None, :] @ _overlap(va, vb) @ bv[:, :, None])[:, 0, 0]
+    return lhs, _sandwich_trace_power(tr, lam_a, va, lam_b, vb, p)
+
+
+def _prop_q4(tr, q, g, a, b):
+    a2, b2, ab = a @ a, b @ b, a @ b
+    t_abab = _product_trace(tr, ab, ab)
+    expansion = 4.0 * (
+        _product_trace(tr, a2 @ a, b) + _product_trace(tr, a2, b2) + _product_trace(tr, a, b2 @ b)
+    ) + 2.0 * t_abab
+    lhs = _sum_power_lhs(tr, a, b, np.linalg.eigvalsh(a), np.linalg.eigvalsh(b), 4.0)
+    rhs = 12.0 * t_abab
+    tr.residual = residual = np.abs(lhs - expansion)
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+    tr.flag({
+        i: f"q=4 expansion identity failed: residual {residual[i]:.3e} vs scale {scale[i]:.3e}"
+        for i in np.flatnonzero(residual > PROP_Q4_RESIDUAL_REL * scale).tolist()
+    })
+    return lhs, rhs
+
+
+def _cor_abq3(tr, q, g, c, d):
+    z, xm = _z_blocks(tr, c, d)
+    lam_z = np.linalg.eigvalsh(z)
+    if q < 0:  # Z has rank dim D: its nonzero spectrum is the top dim D
+        lam_z = tr.spectra(lam_z[:, -d.shape[-1]:], "positive")
+    lhs = np.sum(tr.power(lam_z, q), axis=-1) - _trace_power(tr, xm, q) - _trace_power(tr, d, q)
+    sigma = _gram_singular_values(tr, c)
     if q < 0:
-        return "le", VERDICT
-    if 0 < q < 1:
-        return "ge", VERDICT
-    if 1 < q < 2:
-        return "le", VERDICT
-    return "ge", VERDICT
+        bad = sigma[:, 0] < mc.POSITIVITY_FLOOR_REL * np.maximum(sigma[:, -1], 1.0)
+        tr.flag({i: "negative Schatten power of a (near-)singular block" for i in np.flatnonzero(bad).tolist()})
+        sigma = np.where(bad[:, None], 1.0, sigma)
+    return lhs, (2.0**q - 2.0) * np.sum(sigma**q, axis=-1)
 
 
-def _dir_cor_faltq(q: float) -> tuple[str, str]:
-    if q in (0.0, 1.0, 2.0):
-        return "eq", VERDICT
-    if q <= -2:
-        return "le", VERDICT
-    if -2 < q < 0:
-        return "le", CONJECTURE
-    if 0 < q < 1:
-        return "ge", VERDICT
-    if 1 < q < 2:
-        return "le", VERDICT
-    if 2 < q <= 3:
-        return "ge", VERDICT
-    return "ge", CONJECTURE
+def _norm_compression(tr, q, g, b, c, d):
+    lam = tr.spectra(np.linalg.eigvalsh(mc.assemble_blocks(b, c, d)), "nonneg")  # A must be PSD
+    beta, gamma, delta = (np.sum(_gram_singular_values(tr, m) ** q, axis=-1) for m in (b, c, d))
+    return np.sum(tr.power(lam, q), axis=-1), (2.0**q - 2.0) * gamma + beta + delta
 
 
+def _trace_subadd(tr, q, g, a, b):
+    domain = "positive" if getattr(g, "domain", "real") == "positive" else "nonneg"
+
+    def tr_g(h):
+        return np.sum(g(tr.spectra(np.linalg.eigvalsh(h), domain)), axis=-1)
+
+    return tr_g(a + b), tr_g(a) + tr_g(b)
+
+
+# ---------------------------------------------------------------------------
+# Direction rules: parameter -> (direction, mode); DomainError outside the case
+# ---------------------------------------------------------------------------
+
+
+def _regions(eq: tuple, spans: tuple, outside: tuple | None = None) -> Callable:
+    """Direction rule from a region list: exponents in `eq` are equality
+    cases; otherwise the first (upper bound, direction, mode) span with
+    q <= bound applies.  `outside` = (predicate, message) marks the
+    parameters that lie outside the case."""
+
+    def rule(q: float) -> tuple[str, str]:
+        if outside is not None and outside[0](q):
+            raise DomainError(outside[1].format(q))
+        if q in eq:
+            return "eq", VERDICT
+        return next(((d, m) for hi, d, m in spans if q <= hi), spans[-1][1:])
+
+    return rule
+
+
+_dir_mccarthy = _regions(
+    (1.0,), ((1.0, "le", VERDICT), (np.inf, "ge", VERDICT)),
+    (lambda q: q <= 0, "McCarthy inequality needs q > 0, got {}"),
+)
+_dir_golden_thompson = _regions((), ((np.inf, "le", VERDICT),), (lambda t: t < 0, "kernel rate t must be >= 0, got {}"))
+_dir_cor_pmean = _regions(
+    (1.0,), ((np.inf, "ge", VERDICT),), (lambda p: p < 1, "power-mean corollary needs p >= 1, got {}")
+)
+# Stated sense ">=" on (0,1] u [2,3]; reversed on q<0 and [1,2]; q in {0,1,2}
+# are the quadratic equality exponents.  Beyond 3 the theorem fails in
+# general: evaluation keeps the ">=" orientation and lets the verdict report
+# what the matrices do.
+_dir_cor_abq = _regions(
+    (0.0, 1.0, 2.0), ((0.0, "le", VERDICT), (1.0, "ge", VERDICT), (2.0, "le", VERDICT), (np.inf, "ge", VERDICT))
+)
+_dir_cor_faltq = _regions((0.0, 1.0, 2.0), (
+    (-2.0, "le", VERDICT), (0.0, "le", CONJECTURE), (1.0, "ge", VERDICT), (2.0, "le", VERDICT),
+    (3.0, "ge", VERDICT), (np.inf, "ge", CONJECTURE),
+))
 _dir_cor_abq3 = _dir_cor_faltq  # same region layout after rearrangement
+_dir_alt = _regions((0.0, -2.0, 2.0), ((-2.0, "ge", VERDICT), (2.0, "le", VERDICT), (np.inf, "ge", VERDICT)))
+_dir_norm_compression = _regions(
+    (1.0, 2.0), ((1.0, "ge", VERDICT), (2.0, "le", VERDICT), (3.0, "ge", VERDICT), (np.inf, "ge", CONJECTURE)),
+    (lambda q: q <= 0, "norm compression needs q > 0, got {}"),
+)
+_dir_prop_q4 = _regions((), ((np.inf, "ge", VERDICT),))
 
 
-def _dir_alt(q: float) -> tuple[str, str]:
-    if q == 0 or abs(q) == 2:
-        return "eq", VERDICT
-    if 0 < abs(q) < 2:
+def _dir_main_trace(g: fc.ScalarFunction) -> tuple[str, str]:
+    direction = fc.gap_pair_direction(g.class_tag)
+    if direction is None:
+        raise DomainError(f"no trace inequality for class {g.class_tag!r}")
+    return direction, VERDICT
+
+
+def _dir_trace_subadd(g: fc.ScalarFunction) -> tuple[str, str]:
+    tag = g.class_tag
+    if fc.is_subadditive_class(tag):
         return "le", VERDICT
-    return "ge", VERDICT
+    if fc.is_superadditive_class(tag):
+        return "ge", VERDICT
+    raise DomainError(f"trace sub/superadditivity undefined for class {tag!r}")
 
 
-def _dir_norm_compression(q: float) -> tuple[str, str]:
-    if q <= 0:
-        raise DomainError(f"norm compression needs q > 0, got {q}")
-    if q in (1.0, 2.0):
-        return "eq", VERDICT
-    if q < 1:
-        return "ge", VERDICT
-    if q < 2:
-        return "le", VERDICT
-    if q <= 3:
-        return "ge", VERDICT
-    return "ge", CONJECTURE
+# ---------------------------------------------------------------------------
+# Input kinds, the case table and evaluation
+# ---------------------------------------------------------------------------
+
+
+def _gram(g: np.ndarray) -> np.ndarray:
+    return mc.hermitian_part(g @ g.mT.conj())
+
+
+def _cmat(params: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """(K, rows, cols) complex matrices from the first 2*rows*cols entries of
+    each parameter row (real parts, then imaginary parts)."""
+    n = rows * cols
+    return params[:, :n].reshape(-1, rows, cols) + 1j * params[:, n : 2 * n].reshape(-1, rows, cols)
+
+
+def _draw_pair(rng, ensemble, dim):
+    return mc.random_ensemble(ensemble, dim, rng).entries, mc.random_ensemble(ensemble, dim, rng).entries
+
+
+def _draw_blocks(rng, ensemble, dim):
+    w = mc.random_ensemble(ensemble, 2 * dim, rng).entries
+    return w[:dim, :dim], w[dim:, :dim], w[dim:, dim:]
+
+
+def _draw_cd(rng, ensemble, dim):
+    c = mc.random_complex_gaussian(rng, dim, dim)
+    return c, mc.random_ensemble(ensemble, dim, rng).entries
+
+
+def _unpack_pair(params, dim):
+    return _gram(_cmat(params, dim, dim)), _gram(_cmat(params[:, 2 * dim * dim :], dim, dim))
+
+
+def _unpack_blocks(params, dim):
+    w = _gram(_cmat(params, 2 * dim, 2 * dim))
+    return w[:, :dim, :dim], w[:, dim:, :dim], w[:, dim:, dim:]
+
+
+def _unpack_cd(params, dim):
+    return _cmat(params, dim, dim), _gram(_cmat(params[:, 2 * dim * dim :], dim, dim))
+
+
+@dataclass(frozen=True)
+class InputKind:
+    """The matrices one trial consumes, named by `keys` (matrix_<key> in
+    config files); "c" is a general block, every other input Hermitian.
+    `unpack` maps (K, P) real search parameters onto K stacked inputs, PSD
+    ones as Gram matrices.  A record's dim sums the columns of `dim_keys`."""
+
+    keys: tuple[str, ...]
+    draw: Callable[[np.random.Generator, str, int], tuple]
+    unpack: Callable[[np.ndarray, int], tuple]
+    param_count: Callable[[int], int]
+    dim_keys: tuple[str, ...]
+
+
+PAIR = InputKind(("a", "b"), _draw_pair, _unpack_pair, lambda n: 4 * n * n, ("a",))
+BLOCKS = InputKind(("b", "c", "d"), _draw_blocks, _unpack_blocks, lambda n: 8 * n * n, ("b", "d"))
+CD = InputKind(("c", "d"), _draw_cd, _unpack_cd, lambda n: 4 * n * n, ("c", "d"))
+
+
+@dataclass(frozen=True)
+class Case:
+    """Catalog entry.  `rule` orients the gap from q, or from the scalar
+    function when `needs_func`; `kernel` evaluates both sides over stacked
+    trials; `fixed_q` replaces q for a case evaluated at one exponent."""
+
+    kind: InputKind
+    rule: Callable[[Any], tuple[str, str]]
+    kernel: Callable
+    needs_func: bool = False
+    fixed_q: float | None = None
 
 
 CASES = {
-    "MCCARTHY": InequalityCase("MCCARTHY", "pair"),
-    "GOLDEN_THOMPSON": InequalityCase("GOLDEN_THOMPSON", "pair"),
-    "MAIN_TRACE": InequalityCase("MAIN_TRACE", "pair+func"),
-    "COR_ABQ": InequalityCase("COR_ABQ", "pair"),
-    "COR_PMEAN": InequalityCase("COR_PMEAN", "pair"),
-    "COR_FALTQ": InequalityCase("COR_FALTQ", "pair"),
-    "ALT": InequalityCase("ALT", "pair"),
-    "PROP_Q4": InequalityCase("PROP_Q4", "pair"),
-    "COR_ABQ3": InequalityCase("COR_ABQ3", "cd"),
-    "NORM_COMPRESSION": InequalityCase("NORM_COMPRESSION", "blocks"),
-    "TRACE_SUBADD": InequalityCase("TRACE_SUBADD", "pair+func"),
+    "MCCARTHY": Case(PAIR, _dir_mccarthy, _mccarthy),
+    "GOLDEN_THOMPSON": Case(PAIR, _dir_golden_thompson, _golden_thompson),
+    "MAIN_TRACE": Case(PAIR, _dir_main_trace, _main_trace, needs_func=True),
+    "COR_ABQ": Case(PAIR, _dir_cor_abq, _cor_abq),
+    "COR_PMEAN": Case(PAIR, _dir_cor_pmean, _cor_pmean),
+    "COR_FALTQ": Case(PAIR, _dir_cor_faltq, _cor_faltq),
+    "ALT": Case(PAIR, _dir_alt, _alt),
+    "PROP_Q4": Case(PAIR, _dir_prop_q4, _prop_q4, fixed_q=4.0),
+    "COR_ABQ3": Case(CD, _dir_cor_abq3, _cor_abq3),
+    "NORM_COMPRESSION": Case(BLOCKS, _dir_norm_compression, _norm_compression),
+    "TRACE_SUBADD": Case(PAIR, _dir_trace_subadd, _trace_subadd, needs_func=True),
 }
 
 
-# ---------------------------------------------------------------------------
-# Operations
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class Batch:
+    """One case evaluated on T stacked trials."""
 
+    case: str
+    q: float | None
+    dim: int
+    func: str
+    direction: str
+    mode: str
+    lhs: np.ndarray
+    rhs: np.ndarray
+    reasons: list[str]  # "" where the trial was evaluated
+    residual: np.ndarray | None
+    tol_rel: float
 
-def mccarthy_gap(a, b, q: float, **meta) -> TrialRecord:
-    """trace(A+B)^q vs trace A^q + trace B^q (sub/superadditive by region)."""
-    direction, mode = _dir_mccarthy(q)
-    ah, bh = mc.as_hermitian(a), mc.as_hermitian(b)
-    lhs = mc.trace_power(ah + bh, q)
-    rhs = mc.trace_power(ah, q) + mc.trace_power(bh, q)
-    return _record("MCCARTHY", direction, mode, lhs, rhs, q=q, dim=ah.dim, **meta)
+    def gaps(self) -> np.ndarray:
+        """Oriented gaps, +inf where a trial was skipped."""
+        gap = oriented_gap(self.direction, self.lhs, self.rhs)
+        return np.where([bool(r) for r in self.reasons], np.inf, gap)
 
-
-def golden_thompson_gap(a, b, t: float, **meta) -> TrialRecord:
-    """trace exp(-(A+B)t) <= trace exp(-At) exp(-Bt) for Hermitian A, B."""
-    if t < 0:
-        raise DomainError(f"kernel rate t must be >= 0, got {t}")
-    ah, bh = mc.as_hermitian(a), mc.as_hermitian(b)
-    lhs = float(np.sum(np.exp(-t * mc.eigh(ah + bh).eigenvalues)))
-    ea = mc.matrix_exp(ah.scaled(-t)).entries
-    eb = mc.matrix_exp(bh.scaled(-t)).entries
-    rhs = _real_product_trace(ea, eb)
-    return _record("GOLDEN_THOMPSON", "le", VERDICT, lhs, rhs, q=t, dim=ah.dim, **meta)
-
-
-def projector_overlap_total(a, b) -> float:
-    """sum_{k,l} tr A_k B_l over the rank-one eigenprojector pairs (= dim)."""
-    va = mc.eigh(a).eigenvectors
-    vb = mc.eigh(b).eigenvectors
-    return float(np.sum(np.abs(va.conj().T @ vb) ** 2))
-
-
-def main_trace_ineq(g: fc.ScalarFunction, a, b, **meta) -> TrialRecord:
-    """trace(g(A+B)-g(A)-g(B)) vs the projector double sum
-    sum_{k,l} (g(2 sqrt(a_k b_l)) - 2 g(sqrt(a_k b_l))) |<v_k, w_l>|^2."""
-    tag = g.class_tag
-    direction = fc.gap_pair_direction(tag)
-    if direction is None:
-        raise DomainError(f"no trace inequality for class {tag!r}")
-    ah, bh = mc.as_hermitian(a), mc.as_hermitian(b)
-    deca, decb = mc.eigh(ah), mc.eigh(bh)
-    domain = "positive" if tag == "CM0" else "nonneg"
-    av = mc._domain_checked_eigenvalues(deca.eigenvalues, domain)
-    bv = mc._domain_checked_eigenvalues(decb.eigenvalues, domain)
-
-    lam_sum = mc.eigh(ah + bh).eigenvalues
-    if tag == "CM0":
-        lam_sum = mc._domain_checked_eigenvalues(lam_sum, "positive")
-    lhs = float(np.sum(g(lam_sum)) - np.sum(g(av)) - np.sum(g(bv)))
-
-    overlap = np.abs(deca.eigenvectors.conj().T @ decb.eigenvectors) ** 2
-    roots = np.sqrt(np.outer(av, bv))
-    weights = g(2.0 * roots) - 2.0 * g(roots)
-    rhs = float(np.sum(weights * overlap))
-    return _record(
-        "MAIN_TRACE", direction, VERDICT, lhs, rhs,
-        q=None, dim=ah.dim, func=_func_label(g), **meta,
-    )
+    def records(self, seeds, ensemble: str, cell: tuple | None = None) -> list[TrialRecord]:
+        """One record per trial; a skipped trial's record carries the cell's
+        (q, dim) when given."""
+        q, dim = cell if cell is not None else (self.q, self.dim)
+        tol = self.tol_rel * np.maximum(np.maximum(np.abs(self.lhs), np.abs(self.rhs)), 1.0)
+        gap = oriented_gap(self.direction, self.lhs, self.rhs)
+        if self.mode == CONJECTURE:
+            verdicts = ["CONJECTURE_OBS"] * len(gap)
+        else:
+            verdicts = np.where(gap >= -tol, "PASS", "FAIL").tolist()
+        rows = zip(seeds, self.reasons, self.lhs.tolist(), self.rhs.tolist(), gap.tolist(), tol.tolist(), verdicts)
+        return [
+            TrialRecord(self.case, q, dim, seed, ensemble, 0.0, 0.0, 0.0, 0.0, "SKIPPED", reason) if reason
+            else TrialRecord(self.case, self.q, self.dim, seed, ensemble, lhs, rhs, g, t, v, func=self.func)
+            for seed, reason, lhs, rhs, g, t, v in rows
+        ]
 
 
 def _func_label(g: fc.ScalarFunction) -> str:
@@ -322,214 +529,143 @@ def _func_label(g: fc.ScalarFunction) -> str:
     return f"{variant}({args})"
 
 
-def _sum_power_lhs(ah: HermitianMatrix, bh: HermitianMatrix, deca, decb, q: float) -> float:
-    lhs_sum = mc.trace_power(ah + bh, q)
-    return lhs_sum - _power_sum(deca.eigenvalues, q) - _power_sum(decb.eigenvalues, q)
+def evaluate(
+    case: str, inputs: dict, q: float | None = None, func: fc.ScalarFunction | None = None,
+    tol_rel: float = DEFAULT_TOL_REL,
+) -> Batch:
+    """Evaluate `case` on stacked inputs {key: (T, rows, cols)}.  Trials
+    outside the kernel's domain are skipped with a reason; a parameter (q or
+    the function's class) outside the case skips every trial."""
+    entry = CASES[case]
+    if entry.fixed_q is not None:
+        q = entry.fixed_q
+    tr = _Trials(len(inputs[entry.kind.keys[0]]))
+    try:
+        direction, mode = entry.rule(func if entry.needs_func else q)
+    except DomainError as exc:
+        tr.reasons = [str(exc)] * len(tr.reasons)
+        direction, mode, lhs = "eq", VERDICT, np.zeros(len(tr.reasons))
+        rhs = lhs
+    else:
+        lhs, rhs = entry.kernel(tr, q, func, *(inputs[k] for k in entry.kind.keys))
+    return Batch(
+        case=case, q=None if entry.needs_func else q,
+        dim=sum(inputs[k].shape[-1] for k in entry.kind.dim_keys),
+        func=_func_label(func) if entry.needs_func else "", direction=direction, mode=mode,
+        lhs=lhs, rhs=rhs, reasons=tr.reasons, residual=tr.residual, tol_rel=tol_rel,
+    )
+
+
+def _stack_one(inputs: dict) -> dict:
+    return {k: (mc._coerce(v) if k == "c" else mc.as_hermitian(v).entries)[None] for k, v in inputs.items()}
+
+
+def _evaluate_single(case, inputs, q, func, tol_rel) -> Batch:
+    batch = evaluate(case, _stack_one(inputs), q, func, tol_rel)
+    if batch.reasons[0]:
+        raise DomainError(batch.reasons[0])
+    return batch
+
+
+def evaluate_one(
+    case: str, inputs: dict, q: float | None = None, func: fc.ScalarFunction | None = None,
+    *, tol_rel: float = DEFAULT_TOL_REL, seed: int = -1, ensemble: str = "direct",
+) -> TrialRecord:
+    """Evaluate `case` on one trial's matrices {key: matrix}; raises
+    DomainError with the reason a batch would skip the trial for."""
+    return _evaluate_single(case, inputs, q, func, tol_rel).records([seed], ensemble)[0]
+
+
+# ---------------------------------------------------------------------------
+# One-trial operations
+# ---------------------------------------------------------------------------
+
+
+def mccarthy_gap(a, b, q: float, **meta) -> TrialRecord:
+    """trace(A+B)^q vs trace A^q + trace B^q (sub/superadditive by region)."""
+    return evaluate_one("MCCARTHY", {"a": a, "b": b}, q, **meta)
+
+
+def golden_thompson_gap(a, b, t: float, **meta) -> TrialRecord:
+    """trace exp(-(A+B)t) <= trace exp(-At) exp(-Bt) for Hermitian A, B."""
+    return evaluate_one("GOLDEN_THOMPSON", {"a": a, "b": b}, t, **meta)
+
+
+def main_trace_ineq(g: fc.ScalarFunction, a, b, **meta) -> TrialRecord:
+    """trace(g(A+B)-g(A)-g(B)) vs the projector double sum
+    sum_{k,l} (g(2 sqrt(a_k b_l)) - 2 g(sqrt(a_k b_l))) |<v_k, w_l>|^2."""
+    return evaluate_one("MAIN_TRACE", {"a": a, "b": b}, func=g, **meta)
 
 
 def cor_abq_gap(a, b, q: float, **meta) -> TrialRecord:
     """trace(A+B)^q - trace A^q - trace B^q vs (2^q - 2) trace A^{q/2} B^{q/2}."""
-    direction, mode = _dir_cor_abq(q)
-    ah, bh = mc.as_hermitian(a), mc.as_hermitian(b)
-    deca, decb = mc.eigh(ah), mc.eigh(bh)
-    lhs = _sum_power_lhs(ah, bh, deca, decb, q)
-    ahalf = _half_power_matrix(deca, q / 2.0)
-    bhalf = _half_power_matrix(decb, q / 2.0)
-    rhs = (2.0**q - 2.0) * _real_product_trace(ahalf, bhalf)
-    return _record("COR_ABQ", direction, mode, lhs, rhs, q=q, dim=ah.dim, **meta)
+    return evaluate_one("COR_ABQ", {"a": a, "b": b}, q, **meta)
 
 
 def cor_pmean_gap(a, b, p: float, **meta) -> TrialRecord:
     """Power-means form: trace((A^p+B^p)/2)^{1/p} vs the mixed lower bound."""
-    if p < 1:
-        raise DomainError(f"power-mean corollary needs p >= 1, got {p}")
-    direction = "eq" if p == 1 else "ge"
-    ah, bh = mc.as_hermitian(a), mc.as_hermitian(b)
-    deca, decb = mc.eigh(ah), mc.eigh(bh)
-    mean_p = HermitianMatrix(0.5 * (_half_power_matrix(deca, p) + _half_power_matrix(decb, p)))
-    lhs = mc.trace_power(mean_p, 1.0 / p)
-    coeff = 2.0 ** (1.0 - 1.0 / p)
-    cross = _real_product_trace(_half_power_matrix(deca, 0.5), _half_power_matrix(decb, 0.5))
-    rhs = coeff * 0.5 * (mc.trace_of(ah.entries) + mc.trace_of(bh.entries)) + (1.0 - coeff) * cross
-    return _record("COR_PMEAN", direction, VERDICT, lhs, rhs, q=p, dim=ah.dim, **meta)
-
-
-def _sandwich_trace_power(
-    deca: mc.SpectralDecomposition, decb: mc.SpectralDecomposition, bh: HermitianMatrix, s: float
-) -> float:
-    """trace (A^{1/2} B A^{1/2})^s from the decompositions of A and B.
-
-    For s < 0 it is evaluated as sum sigma_i^{-2s} over the singular values of
-    C = B^{-1/2} A^{-1/2}, since (A^{1/2} B A^{1/2})^{-1} = C^* C.  The inverse
-    factors enforce the positivity floor on A and B; the sandwich itself has
-    the product of their condition numbers, so a second floor on it would
-    reject valid PD pairs.  Its small eigenvalues, and those of C^* C, carry
-    only absolute accuracy, which s < 0 would amplify; the singular values of
-    C lose only half as many digits.
-    """
-    if s < 0:
-        c = _half_power_matrix(decb, -0.5) @ _half_power_matrix(deca, -0.5)
-        return float(np.sum(mc.singular_values(c) ** (-2.0 * s)))
-    ahalf = _half_power_matrix(deca, 0.5)
-    return mc.trace_power(HermitianMatrix(ahalf @ bh.entries @ ahalf), s)
-
-
-def _power_product_trace(
-    deca: mc.SpectralDecomposition, decb: mc.SpectralDecomposition, p: float
-) -> float:
-    """trace A^p B^p = sum_ij a_i^p b_j^p |<u_i, v_j>|^2.
-
-    The terms are nonnegative, so the sum has no cancellation; forming A^p and
-    B^p first loses digits when both are ill conditioned (p < 0).
-    """
-    overlap = np.abs(deca.eigenvectors.conj().T @ decb.eigenvectors) ** 2
-    av = mc._power_on_spectrum(deca.eigenvalues, p)
-    bv = mc._power_on_spectrum(decb.eigenvalues, p)
-    return float(av @ overlap @ bv)
+    return evaluate_one("COR_PMEAN", {"a": a, "b": b}, p, **meta)
 
 
 def cor_faltq_gap(a, b, q: float, **meta) -> TrialRecord:
     """As cor_abq_gap with trace(A^{1/2} B A^{1/2})^{q/2} on the right."""
-    direction, mode = _dir_cor_faltq(q)
-    ah, bh = mc.as_hermitian(a), mc.as_hermitian(b)
-    deca, decb = mc.eigh(ah), mc.eigh(bh)
-    lhs = _sum_power_lhs(ah, bh, deca, decb, q)
-    rhs = (2.0**q - 2.0) * _sandwich_trace_power(deca, decb, bh, q / 2.0)
-    return _record("COR_FALTQ", direction, mode, lhs, rhs, q=q, dim=ah.dim, **meta)
+    return evaluate_one("COR_FALTQ", {"a": a, "b": b}, q, **meta)
 
 
 def alt_gap(a, b, q: float, **meta) -> TrialRecord:
     """Araki-Lieb-Thirring comparison:
     trace A^{q/2} B^{q/2} vs trace (A^{1/2} B A^{1/2})^{q/2}."""
-    direction, mode = _dir_alt(q)
-    ah, bh = mc.as_hermitian(a), mc.as_hermitian(b)
-    deca, decb = mc.eigh(ah), mc.eigh(bh)
-    lhs = _power_product_trace(deca, decb, q / 2.0)
-    rhs = _sandwich_trace_power(deca, decb, bh, q / 2.0)
-    return _record("ALT", direction, mode, lhs, rhs, q=q, dim=ah.dim, **meta)
+    return evaluate_one("ALT", {"a": a, "b": b}, q, **meta)
 
 
-def prop_q4_check(a, b, **meta) -> tuple[float, TrialRecord]:
+def prop_q4_check(a, b, *, tol_rel: float = DEFAULT_TOL_REL, seed: int = -1, ensemble: str = "direct"):
     """The q=4 expansion: trace(A+B)^4 - trace A^4 - trace B^4 equals
     4 trace(A^3 B + A^2 B^2 + A B^3) + 2 trace (AB)^2 (an identity), and is
-    bounded below by 12 trace (AB)^2."""
-    ah, bh = mc.as_hermitian(a), mc.as_hermitian(b)
-    am, bm = ah.entries, bh.entries
-    a2, b2 = am @ am, bm @ bm
-    ab = am @ bm
-    t_a3b = _real_product_trace(a2 @ am, bm)
-    t_a2b2 = _real_product_trace(a2, b2)
-    t_ab3 = _real_product_trace(am, b2 @ bm)
-    t_abab = _real_product_trace(ab, ab)
-    expansion = 4.0 * (t_a3b + t_a2b2 + t_ab3) + 2.0 * t_abab
-
-    deca, decb = mc.eigh(ah), mc.eigh(bh)
-    lhs = _sum_power_lhs(ah, bh, deca, decb, 4.0)
-    residual = abs(lhs - expansion)
-    rhs = 12.0 * t_abab
-    rec = _record("PROP_Q4", "ge", VERDICT, lhs, rhs, q=4.0, dim=ah.dim, **meta)
-    return residual, rec
-
-
-def _trace_abs_power(c, q: float) -> float:
-    """trace |C|^q = sum sigma_i^q over singular values."""
-    m = mc._coerce(c)
-    lam = mc._domain_checked_eigenvalues(
-        mc.eigh(HermitianMatrix(m.conj().T @ m)).eigenvalues, "nonneg"
-    )
-    sigma = np.sqrt(lam)
-    if q < 0:
-        floor = mc.POSITIVITY_FLOOR_REL * max(float(sigma[-1]), 1.0)
-        if sigma[0] < floor:
-            raise DomainError("negative Schatten power of a (near-)singular block")
-    return float(np.sum(sigma**q))
-
-
-def _z_block(c, d) -> tuple[HermitianMatrix, HermitianMatrix, HermitianMatrix]:
-    """(Z, X, D) with X = C^* D^{-1} C and Z = [[X, C^*], [C, D]]."""
-    ch = mc._coerce(c)
-    dh = mc.as_hermitian(d)
-    dinv = mc.matrix_power(dh, -1.0)  # enforces strict positivity of D
-    x = HermitianMatrix(ch.conj().T @ dinv.entries @ ch)
-    return mc.block2x2(x, ch, dh), x, dh
-
-
-def _trace_power_nonzero(z: HermitianMatrix, q: float, keep: int) -> float:
-    """trace Z^q over the `keep` largest eigenvalues (the nonzero spectrum of
-    a rank-`keep` PSD block construction); all eigenvalues when q > 0."""
-    lam = mc.eigh(z).eigenvalues
-    if q >= 0:
-        return _power_sum(lam, q)
-    top = lam[-keep:]
-    return _power_sum(mc._domain_checked_eigenvalues(top, "positive"), q)
+    bounded below by 12 trace (AB)^2.  Returns (identity residual, record);
+    raises DomainError when the residual exceeds PROP_Q4_RESIDUAL_REL."""
+    batch = _evaluate_single("PROP_Q4", {"a": a, "b": b}, None, None, tol_rel)
+    return float(batch.residual[0]), batch.records([seed], ensemble)[0]
 
 
 def cor_abq3_gap(c, d, q: float, **meta) -> TrialRecord:
     """Block form: trace Z^q - trace(C^* D^{-1} C)^q - trace D^q vs
     (2^q - 2) trace |C|^q, Z the assembled partitioned matrix."""
-    direction, mode = _dir_cor_abq3(q)
-    z, x, dh = _z_block(c, d)
-    if q < 0:
-        lhs = (
-            _trace_power_nonzero(z, q, dh.dim)
-            - mc.trace_power(x, q)
-            - mc.trace_power(dh, q)
-        )
-    else:
-        lhs = mc.trace_power(z, q) - mc.trace_power(x, q) - mc.trace_power(dh, q)
-    rhs = (2.0**q - 2.0) * _trace_abs_power(c, q)
-    return _record("COR_ABQ3", direction, mode, lhs, rhs, q=q, dim=z.dim, **meta)
-
-
-def z_spectrum_check(c, d) -> float:
-    """Hausdorff distance between the nonzero spectra of A+B (with
-    A = D^{-1/2} C C^* D^{-1/2}, B = D) and of the block matrix Z."""
-    z, _, dh = _z_block(c, d)
-    ch = mc._coerce(c)
-    dinv_half = mc.matrix_power(dh, -0.5)
-    gram = HermitianMatrix(dinv_half.entries @ ch @ ch.conj().T @ dinv_half.entries)
-    lam_ab = mc.eigh(gram + dh).eigenvalues
-    lam_z = mc.eigh(z).eigenvalues[-dh.dim:]
-    diff = np.abs(lam_ab[:, None] - lam_z[None, :])
-    return float(max(diff.min(axis=0).max(), diff.min(axis=1).max()))
+    return evaluate_one("COR_ABQ3", {"c": c, "d": d}, q, **meta)
 
 
 def norm_compression_gap(b, c, d, q: float, **meta) -> TrialRecord:
     """trace A^q vs (2^q - 2) gamma^q + beta^q + delta^q for the partitioned
     PSD matrix A = [[B, C^*], [C, D]] with block Schatten norms beta, gamma,
     delta."""
-    direction, mode = _dir_norm_compression(q)
-    assembled = mc.block2x2(b, c, d)
-    lam = mc.eigh(assembled).eigenvalues
-    lam = mc._domain_checked_eigenvalues(lam, "nonneg")  # A must be PSD
-    lhs = _power_sum(lam, q)
-    beta = mc.schatten_norm(b, q)
-    gamma = mc.schatten_norm(c, q)
-    delta = mc.schatten_norm(d, q)
-    rhs = (2.0**q - 2.0) * gamma**q + beta**q + delta**q
-    return _record("NORM_COMPRESSION", direction, mode, lhs, rhs, q=q, dim=assembled.dim, **meta)
+    return evaluate_one("NORM_COMPRESSION", {"b": b, "c": c, "d": d}, q, **meta)
 
 
 def trace_subadd_gap(g: fc.ScalarFunction, a, b, **meta) -> TrialRecord:
     """trace g(A+B) vs trace g(A) + trace g(B): subadditive for CM0 and BF0,
     superadditive for the primitive classes BFk, k >= 1."""
-    tag = g.class_tag
-    if fc.is_subadditive_class(tag):
-        direction = "le"
-    elif fc.is_superadditive_class(tag):
-        direction = "ge"
-    else:
-        raise DomainError(f"trace sub/superadditivity undefined for class {tag!r}")
-    domain = "positive" if getattr(g, "domain", "real") == "positive" else "nonneg"
-    ah, bh = mc.as_hermitian(a), mc.as_hermitian(b)
+    return evaluate_one("TRACE_SUBADD", {"a": a, "b": b}, func=g, **meta)
 
-    def tr_g(h: HermitianMatrix) -> float:
-        lam = mc._domain_checked_eigenvalues(mc.eigh(h).eigenvalues, domain)
-        return float(np.sum(g(lam)))
 
-    lhs = tr_g(ah + bh)
-    rhs = tr_g(ah) + tr_g(bh)
-    return _record(
-        "TRACE_SUBADD", direction, VERDICT, lhs, rhs,
-        q=None, dim=ah.dim, func=_func_label(g), **meta,
-    )
+def projector_overlap_total(a, b) -> float:
+    """sum_{k,l} tr A_k B_l over the rank-one eigenprojector pairs (= dim)."""
+    return float(np.sum(_overlap(mc.eigh(a).eigenvectors, mc.eigh(b).eigenvectors)))
+
+
+def _z_block(c, d) -> tuple[HermitianMatrix, HermitianMatrix, HermitianMatrix]:
+    """(Z, X, D) of cor_abq3_gap for one block pair; raises unless D > 0."""
+    tr, x = _Trials(1), _stack_one({"c": c, "d": d})
+    z, xm = _z_blocks(tr, x["c"], x["d"])
+    if tr.reasons[0]:
+        raise DomainError(tr.reasons[0])
+    return HermitianMatrix(z[0]), HermitianMatrix(xm[0]), HermitianMatrix(x["d"][0])
+
+
+def z_spectrum_check(c, d) -> float:
+    """Hausdorff distance between the nonzero spectra of A+B (with
+    A = D^{-1/2} C C^* D^{-1/2}, B = D) and of the block matrix Z."""
+    z, _, dh = _z_block(c, d)
+    ch, dinv_half = mc._coerce(c), mc.matrix_power(dh, -0.5).entries
+    lam_ab = mc.eigh(dinv_half @ ch @ ch.conj().T @ dinv_half + dh.entries).eigenvalues
+    lam_z = mc.eigh(z).eigenvalues[-dh.dim:]
+    diff = np.abs(lam_ab[:, None] - lam_z[None, :])
+    return float(max(diff.min(axis=0).max(), diff.min(axis=1).max()))

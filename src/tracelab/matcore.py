@@ -6,13 +6,16 @@ Schatten norms, 2x2 block assembly and seeded random PSD ensembles.
 Everything is a pure function of its inputs; random generation is always
 seed-parameterized, never global.  Results are bit-for-bit repeatable within
 one numpy/LAPACK build and BLAS thread setting.
+`eigh`, `hermitian_part`, `spectral_matrix`, `assemble_blocks` and
+`checked_spectra` also take stacks of matrices (leading axes); a matrix's
+result does not depend on the stack it sits in.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,13 +27,16 @@ __all__ = [
     "GeneralMatrix",
     "SpectralDecomposition",
     "eigh",
+    "hermitian_part",
+    "spectral_matrix",
+    "checked_spectra",
+    "assemble_blocks",
     "apply_spectral_function",
     "matrix_power",
     "trace_power",
     "matrix_exp",
     "trace_of",
     "mat_mul",
-    "frobenius",
     "schatten_norm",
     "singular_values",
     "random_psd",
@@ -86,30 +92,13 @@ class HermitianMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = _as_square_complex(self.entries)
-        m = 0.5 * (m + m.conj().T)
+        m = hermitian_part(_as_square_complex(self.entries))
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    @staticmethod
-    def identity(dim: int) -> "HermitianMatrix":
-        return HermitianMatrix(np.eye(dim))
-
-    @staticmethod
-    def diag(values) -> "HermitianMatrix":
-        return HermitianMatrix(np.diag(np.asarray(values, dtype=np.complex128)))
-
-    def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        if self.dim != other.dim:
-            raise ShapeError(f"dim mismatch: {self.dim} vs {other.dim}")
-        return HermitianMatrix(self.entries + other.entries)
-
-    def scaled(self, factor: float) -> "HermitianMatrix":
-        return HermitianMatrix(factor * self.entries)
 
 
 @dataclass(frozen=True)
@@ -128,17 +117,6 @@ class GeneralMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-    def adjoint(self) -> "GeneralMatrix":
-        return GeneralMatrix(self.entries.conj().T)
-
 
 def _coerce(a) -> np.ndarray:
     if isinstance(a, (HermitianMatrix, GeneralMatrix)):
@@ -150,8 +128,18 @@ def as_hermitian(a) -> HermitianMatrix:
     return a if isinstance(a, HermitianMatrix) else HermitianMatrix(_coerce(a))
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M^*) / 2 over the last two axes; exactly Hermitian, and the
+    identity on an exactly Hermitian M."""
+    return 0.5 * (m + m.mT.conj())
+
+
+def spectral_matrix(v: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """V diag(vals) V^* over stacked eigenvector matrices and value rows."""
+    return (v * vals[..., None, :]) @ v.mT.conj()
+
+
+class SpectralDecomposition(NamedTuple):
     """Eigenvalues (real, ascending) and orthonormal eigenvector columns."""
 
     eigenvalues: np.ndarray
@@ -162,8 +150,7 @@ class SpectralDecomposition:
         return self.eigenvalues.shape[0]
 
     def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return spectral_matrix(self.eigenvectors, self.eigenvalues)
 
     def orthonormality_residual(self) -> float:
         v = self.eigenvectors
@@ -175,54 +162,57 @@ def _fro(m: np.ndarray) -> float:
 
 
 def eigh(a) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
+    """Spectral decomposition of a Hermitian matrix, or of each matrix of a
+    stack (an array with leading axes, used as given), by LAPACK
+    (numpy.linalg.eigh).
 
     Eigenvalues are returned ascending with orthonormal eigenvector columns;
     both arrays are read-only.  Degenerate eigenvalues yield multiple rank-one
     terms; no clustering is attempted.
     """
-    lam, v = np.linalg.eigh(as_hermitian(a).entries)
+    stacked = isinstance(a, np.ndarray) and a.ndim > 2
+    lam, v = np.linalg.eigh(a if stacked else as_hermitian(a).entries)
     lam.setflags(write=False)
     v.setflags(write=False)
     return SpectralDecomposition(lam, v)
 
 
-def _positivity_floor(lam: np.ndarray) -> float:
-    return POSITIVITY_FLOOR_REL * max(float(lam[-1]), 1.0)
+def checked_spectra(lam: np.ndarray, domain: str) -> tuple[np.ndarray, dict[int, str]]:
+    """Validate ascending spectra, one per row of `lam` (T, n), against a
+    scalar function's domain tag.
+
+    domain: 'real' (no restriction), 'nonneg' (clip rounding fuzz, snap
+    numerical zeros, reject genuinely negative), 'positive' (enforce the
+    positivity floor).  Returns the validated spectra and the reason for each
+    rejected row, by row index; a rejected row is replaced by ones so that
+    arithmetic on it stays finite.
+    """
+    if domain == "real":
+        return lam, {}
+    lo, hi = lam[:, 0], lam[:, -1]
+    if domain == "nonneg":
+        scale = np.maximum(np.maximum(-lo, hi), 1.0)  # max(|lambda|, 1): rows ascend
+        bad = lo < -PSD_NEGATIVITY_TOL * scale
+        lam = np.where(lam < SPECTRAL_NOISE_REL * np.maximum(hi[:, None], 0.0), 0.0, lam)  # clip and snap
+        why = "matrix is not PSD: min eigenvalue {:.3e} (scale {:.3e})"
+    elif domain == "positive":
+        scale = POSITIVITY_FLOOR_REL * np.maximum(hi, 1.0)
+        bad = lo < scale
+        why = "matrix is not strictly PD: min eigenvalue {:.3e} below positivity floor {:.3e}"
+    else:
+        raise ValueError(f"unknown domain tag {domain!r}")
+    if not bad.any():
+        return lam, {}
+    rows = np.flatnonzero(bad).tolist()
+    return np.where(bad[:, None], 1.0, lam), {i: why.format(lo[i], scale[i]) for i in rows}
 
 
 def _domain_checked_eigenvalues(lam: np.ndarray, domain: str) -> np.ndarray:
-    """Validate eigenvalues against a scalar function's domain tag.
-
-    domain: 'real' (no restriction), 'nonneg' (clip rounding fuzz, reject
-    genuinely negative), 'positive' (enforce the positivity floor).
-    """
-    if domain == "real":
-        return lam
-    scale = max(abs(float(lam[0])), abs(float(lam[-1])), 1.0)
-    if domain == "nonneg":
-        if lam[0] < -PSD_NEGATIVITY_TOL * scale:
-            raise DomainError(
-                f"matrix is not PSD: min eigenvalue {lam[0]:.3e} (scale {scale:.3e})"
-            )
-        lam = np.clip(lam, 0.0, None)
-        if lam[-1] > 0.0:
-            lam = np.where(lam < SPECTRAL_NOISE_REL * lam[-1], 0.0, lam)
-        return lam
-    if domain == "positive":
-        floor = _positivity_floor(lam)
-        if lam[0] < floor:
-            raise DomainError(
-                f"matrix is not strictly PD: min eigenvalue {lam[0]:.3e} "
-                f"below positivity floor {floor:.3e}"
-            )
-        return lam
-    raise ValueError(f"unknown domain tag {domain!r}")
-
-
-def _eval_on_spectrum(g: Callable, lam: np.ndarray) -> np.ndarray:
-    vals = g(lam)
-    return np.asarray(vals, dtype=np.float64)
+    """checked_spectra for one spectrum; raises DomainError on rejection."""
+    out, faults = checked_spectra(lam[None], domain)
+    if faults:
+        raise DomainError(faults[0])
+    return out[0]
 
 
 def apply_spectral_function(a, g: Callable) -> HermitianMatrix:
@@ -233,9 +223,7 @@ def apply_spectral_function(a, g: Callable) -> HermitianMatrix:
     """
     dec = eigh(a)
     lam = _domain_checked_eigenvalues(dec.eigenvalues, getattr(g, "domain", "real"))
-    vals = _eval_on_spectrum(g, lam)
-    v = dec.eigenvectors
-    return HermitianMatrix((v * vals) @ v.conj().T)
+    return HermitianMatrix(spectral_matrix(dec.eigenvectors, np.asarray(g(lam), dtype=np.float64)))
 
 
 def _power_domain(q: float) -> str:
@@ -254,9 +242,7 @@ def _power_on_spectrum(lam: np.ndarray, q: float) -> np.ndarray:
 def matrix_power(a, q: float) -> HermitianMatrix:
     """A^q by spectral calculus; strictly PD input required for q < 0."""
     dec = eigh(a)
-    vals = _power_on_spectrum(dec.eigenvalues, q)
-    v = dec.eigenvectors
-    return HermitianMatrix((v * vals) @ v.conj().T)
+    return HermitianMatrix(spectral_matrix(dec.eigenvectors, _power_on_spectrum(dec.eigenvalues, q)))
 
 
 def trace_power(a, q: float) -> float:
@@ -268,8 +254,7 @@ def trace_power(a, q: float) -> float:
 def matrix_exp(a) -> HermitianMatrix:
     """exp(A) for Hermitian A by spectral calculus."""
     dec = eigh(a)
-    v = dec.eigenvectors
-    return HermitianMatrix((v * np.exp(dec.eigenvalues)) @ v.conj().T)
+    return HermitianMatrix(spectral_matrix(dec.eigenvectors, np.exp(dec.eigenvalues)))
 
 
 def trace_of(a) -> float:
@@ -289,10 +274,6 @@ def mat_mul(a, b) -> GeneralMatrix:
     if ma.shape[1] != mb.shape[0]:
         raise ShapeError(f"cannot multiply shapes {ma.shape} and {mb.shape}")
     return GeneralMatrix(ma @ mb)
-
-
-def frobenius(a) -> float:
-    return _fro(_coerce(a))
 
 
 def schatten_norm(x, q: float) -> float:
@@ -404,9 +385,13 @@ def block2x2(b, c, d) -> HermitianMatrix:
         raise ShapeError(
             f"off-diagonal block must have shape ({nd}, {nb}), got {mc.shape}"
         )
-    top = np.hstack([mb, mc.conj().T])
-    bottom = np.hstack([mc, md])
-    return HermitianMatrix(np.vstack([top, bottom]))
+    return HermitianMatrix(assemble_blocks(mb, mc, md))
+
+
+def assemble_blocks(b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """[[B, C^*], [C, D]] over stacked blocks (no shape or symmetry checks)."""
+    top = np.concatenate([b, c.mT.conj()], axis=-1)
+    return np.concatenate([top, np.concatenate([c, d], axis=-1)], axis=-2)
 
 
 def split_blocks(a, top_dim: int) -> tuple[HermitianMatrix, GeneralMatrix, HermitianMatrix]:

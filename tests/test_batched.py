@@ -1,0 +1,151 @@
+"""Stacked-trial evaluation against one-trial evaluation, and the lockstep
+counterexample search against a restart-by-restart reference loop."""
+
+import math
+
+import numpy as np
+import pytest
+
+from tracelab import explorer as ex
+from tracelab import funclass as fc
+from tracelab import ineq
+from tracelab.matcore import DomainError
+
+CM0 = fc.DiscreteMeasureCM0((0.5, 2.0), (1.0, 0.5))
+
+# case -> (q, func, how every third trial is changed, whether that change
+# takes it out of the case's domain)
+SETUPS = {
+    "MCCARTHY": (0.5, None, "negate", True),
+    "GOLDEN_THOMPSON": (1.0, None, "negate", False),  # any Hermitian pair is valid
+    "MAIN_TRACE": (None, CM0, "rank_deficient", True),
+    "COR_ABQ": (-1.0, None, "rank_deficient", True),
+    "COR_PMEAN": (2.0, None, "negate", True),
+    "COR_FALTQ": (-3.0, None, "rank_deficient", True),
+    "ALT": (0.5, None, "negate", True),
+    "PROP_Q4": (None, None, "negate", False),  # integer powers: every pair is valid
+    "COR_ABQ3": (-2.5, None, "rank_deficient", True),
+    "NORM_COMPRESSION": (2.5, None, "negate", True),
+    "TRACE_SUBADD": (None, fc.PowerFunction(0.5), "negate", True),
+}
+
+
+def mixed_trials(case, how, dim, count, seed):
+    """One input dict per trial; every third trial is pushed out of domain."""
+    trials = []
+    for j in range(count):
+        rng = np.random.default_rng(seed + j)
+        bad = j % 3 == 1
+        ensemble = "rank_deficient" if bad and how == "rank_deficient" else "wishart"
+        inputs = ex.draw_inputs(case, dim, ensemble, rng)
+        if bad and how == "negate":
+            inputs = {k: -v for k, v in inputs.items()}
+        trials.append(inputs)
+    return trials
+
+
+def test_setups_cover_the_catalog():
+    assert set(SETUPS) == set(ineq.CASES)
+
+
+@pytest.mark.parametrize("case", sorted(SETUPS))
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stack_matches_one_trial_wrapper(case, dim):
+    q, func, how, out_of_domain = SETUPS[case]
+    trials = mixed_trials(case, how, dim, 9, seed=500 + dim)
+    seeds = range(100, 109)
+    stacked = {k: np.stack([t[k] for t in trials]) for k in trials[0]}
+    records = ineq.evaluate(case, stacked, q, func).records(seeds, "mixed", cell=(q, dim))
+    skipped = 0
+    for seed, inputs, rec in zip(seeds, trials, records):
+        try:
+            one = ex.evaluate_case(case, inputs, q=q, func=func, seed=seed, ensemble="mixed")
+        except DomainError as exc:
+            skipped += 1
+            assert rec.verdict == "SKIPPED" and rec.reason == str(exc)
+            continue
+        assert rec.lhs == pytest.approx(one.lhs, rel=1e-12, abs=0.0)
+        assert rec.rhs == pytest.approx(one.rhs, rel=1e-12, abs=0.0)
+        assert (rec.verdict, rec.reason, rec.q, rec.dim, rec.func) == (one.verdict, "", one.q, one.dim, one.func)
+    assert skipped == (3 if out_of_domain else 0)
+
+
+def test_parameter_outside_the_case_skips_every_trial():
+    plan = ex.SweepPlan("MCCARTHY", (-1.0,), (2,), trials_per_cell=4, base_seed=3)
+    records = ex.sweep_records(plan)
+    assert [r.verdict for r in records] == ["SKIPPED"] * 4
+    assert records[0].reason == "McCarthy inequality needs q > 0, got -1.0"
+
+
+@pytest.mark.parametrize("case,q,func", [
+    ("COR_ABQ", -1.0, None), ("NORM_COMPRESSION", 1.5, None), ("MAIN_TRACE", None, CM0),
+])
+def test_cell_records_do_not_depend_on_the_chunk_size(case, q, func, monkeypatch):
+    plan = ex.SweepPlan(case, (q,), (2, 3), trials_per_cell=10, ensemble="rank_deficient", base_seed=9, func=func)
+    whole = [r.to_json() for r in ex.sweep_records(plan)]
+    monkeypatch.setattr(ex, "CHUNK_TRIALS", 3)
+    assert [r.to_json() for r in ex.sweep_records(plan)] == whole
+
+
+def sequential_search(case, q, dim, budget, seed, func):
+    """Reference: the restarts run one after another, one evaluation each step."""
+    kind = ineq.CASES[case].kind
+    rng, nparams = np.random.default_rng(seed), kind.param_count(dim)
+
+    def inputs(params):
+        return {k: m[0] for k, m in zip(kind.keys, kind.unpack(params[None], dim))}
+
+    def gap_of(params):
+        try:
+            return ex.evaluate_case(case, inputs(params), q=q, func=func).gap
+        except DomainError:
+            return math.inf
+
+    best_gap, best = math.inf, None
+    for _ in range(budget):
+        params = rng.standard_normal(nparams)
+        gap, step = gap_of(params), ex.SEARCH_INITIAL_STEP
+        for it in range(ex.SEARCH_REFINE_STEPS):
+            cand = params.copy()
+            cand[it % nparams] += step * rng.standard_normal()
+            cand_gap = gap_of(cand)
+            if cand_gap < gap:
+                params, gap = cand, cand_gap
+            else:
+                step *= 0.5
+        if gap < best_gap:
+            best_gap, best = gap, params
+    return ex.evaluate_case(case, inputs(best), q=q, func=func, seed=seed, ensemble="search"), inputs(best)
+
+
+@pytest.mark.parametrize("case,q,func", [
+    ("COR_ABQ", 2.0, None),
+    ("COR_ABQ", 4.0, None),
+    ("NORM_COMPRESSION", 4.0, None),
+    ("MAIN_TRACE", None, fc.DiscreteMeasureBFk(2, (1.0,), (1.0,))),
+    ("COR_ABQ3", -2.5, None),
+])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lockstep_search_matches_sequential_restarts(case, q, func, dim, monkeypatch):
+    monkeypatch.setattr(ex, "CHUNK_TRIALS", 3)  # restarts cross chunk boundaries
+    for seed in (11, 12, 13):
+        rec = ex.search_counterexample(case, q, dim, 5, seed, func=func)
+        ref, ref_inputs = sequential_search(case, q, dim, 5, seed, func)
+        assert rec.to_json() == ref.to_json()
+        assert all(np.array_equal(rec.detail[k], ref_inputs[k]) for k in ref_inputs)
+
+
+def test_nan_gap_never_wins(monkeypatch):
+    # a NaN gap is never improved on and never selected, like an +inf one
+    gaps = ineq.Batch.gaps
+
+    def search_with_first_restart_at(value):
+        def patched(self):
+            out = gaps(self)
+            out[0] = value
+            return out
+
+        monkeypatch.setattr(ineq.Batch, "gaps", patched)
+        return ex.search_counterexample("COR_ABQ", 4.0, 2, 3, 5)
+
+    assert search_with_first_restart_at(math.nan).to_json() == search_with_first_restart_at(math.inf).to_json()

@@ -1,12 +1,14 @@
 """Tests for the command-line front end: exit codes, formats, determinism."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from tracelab import cli
 from tracelab import explorer as ex
+from tracelab import ineq
 from tracelab import matcore as mc
 from tracelab.ineq import TrialRecord
 
@@ -75,6 +77,14 @@ class TestVerify:
         assert written_before_call[-1] > 0  # MCCARTHY's records are out before ALT runs
         assert "verify: 12 records, 0 FAIL, 0 SKIPPED" in out
 
+    def test_trials_is_a_minimum_per_case(self, tmp_path, capsys):
+        out_file = tmp_path / "records.jsonl"
+        code, out, _ = run(["verify", "--trials", "200", "--out", str(out_file)], capsys)
+        assert code == 0
+        counts = Counter(json.loads(line)["case"] for line in out_file.read_text().splitlines())
+        assert set(counts) == set(ineq.CASES)
+        assert min(counts.values()) >= 200
+
     def test_unknown_case_is_usage_error(self, capsys):
         code, _, err = run(["verify", "--case", "NOSUCH"], capsys)
         assert code == 2
@@ -129,6 +139,13 @@ class TestSweep:
         assert cli.main(argv + ["--out", str(f2)]) == 0
         capsys.readouterr()
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_seed_overlapping_trials_are_usage_errors(self, capsys):
+        # a cell of 10**6 trials would reuse the next cell's seeds
+        for argv in (["sweep", "--case", "COR_ABQ", "--q", "2"], ["verify", "--case", "MCCARTHY"]):
+            code, out, err = run(argv + ["--dim", "2", "--trials", "3000000"], capsys)
+            assert code == 2
+            assert "disjoint seed ranges" in err and out == ""
 
     def test_requires_single_case(self, capsys):
         code, _, err = run(["sweep", "--q", "1"], capsys)

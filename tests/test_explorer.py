@@ -31,6 +31,13 @@ class TestSweepPlan:
         with pytest.raises(ValueError):
             ex.SweepPlan("MAIN_TRACE", (None,), (2,), 5)  # func missing
 
+    def test_rejects_seed_overlapping_cells(self):
+        # cell i draws seeds base + i * 10**6 + j: a cell of 10**6 trials
+        # would reuse the next cell's seeds
+        with pytest.raises(ValueError, match="disjoint seed ranges"):
+            small_plan(trials_per_cell=ex.CELL_SEED_STRIDE)
+        assert small_plan(trials_per_cell=ex.CELL_SEED_STRIDE - 1).trials_per_cell == 999_999
+
     def test_cell_order_is_grid_major(self):
         plan = small_plan()
         assert plan.cells() == [(0.5, 2), (0.5, 3), (2.5, 2), (2.5, 3)]

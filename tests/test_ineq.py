@@ -119,7 +119,7 @@ class TestMainTrace:
     def test_square_case_is_twice_trace_ab(self):
         a, b = psd_pair(4, 4)
         rec = ineq.main_trace_ineq(fc.Quadratic(0, 0, 1), a, b)
-        oracle = 2.0 * ineq._real_product_trace(a.entries, b.entries)
+        oracle = 2.0 * np.trace(a.entries @ b.entries).real
         assert rec.lhs == pytest.approx(oracle, rel=1e-11)
 
     def test_cm0_direction_and_sign_chain(self):
@@ -348,6 +348,37 @@ class TestNegativeSandwichPowers:
         assert rec.verdict == "PASS"
         expected = (2.0**-3.0 - 2.0) * mp_sandwich_trace_power(a.entries, b.entries, -1.5)
         assert abs(rec.rhs - expected) <= 1e-8 * abs(expected)
+
+
+class TestPositiveSandwichPowers:
+    # For s >= 0, trace (A^{1/2} B A^{1/2})^s is summed over the singular
+    # values of B^{1/2} A^{1/2}: the sandwich's own eigenvalues carry an
+    # absolute error of about eps * lambda_max, and snapping that noise to
+    # zero dropped genuine small eigenvalues.
+    def test_small_eigenvalue_is_kept(self):
+        a = np.diag([1.0, 1e-7])
+        alt = ineq.alt_gap(a, a, 0.5)
+        assert alt.rhs == pytest.approx(1.0 + 1e-7**0.5, rel=1e-12)
+        for rec in (alt, ineq.cor_faltq_gap(a, a, 0.5)):
+            assert rec.verdict == "PASS"
+            assert abs(rec.gap) <= rec.tol
+
+    def test_rotated_commuting_pairs(self):
+        # commuting pairs make ALT an equality at every q, and COR_FALTQ one
+        # at A = B; spectra reach down to 1e-8 and every third A is singular
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            dim = 2 + seed % 3
+            u = mc.unitary_from_rng(rng, dim)
+            la = 10 ** rng.uniform(-8.0, 0.0, size=dim)
+            lb = 10 ** rng.uniform(-8.0, 0.0, size=dim)
+            if seed % 3 == 0:
+                la[0] = 0.0
+            a, b = (u * la) @ u.conj().T, (u * lb) @ u.conj().T
+            recs = [ineq.alt_gap(a, b, q) for q in (0.5, 1.0)] + [ineq.cor_faltq_gap(a, a, 0.5)]
+            for rec in recs:
+                assert rec.verdict == "PASS"
+                assert abs(rec.gap) <= rec.tol
 
 
 class TestAlt:
