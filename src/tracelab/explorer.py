@@ -288,11 +288,19 @@ def search_counterexample(
     non-improvement.  Returns the most negative-gap record found; the record's
     `detail` carries the input matrices so the gap can be re-evaluated.
 
+    Restart k builds its PSD inputs from Gram factors of rank 1 + (k mod n),
+    n the factor's side, so restarts reach the edge of the PSD cone where
+    counterexamples such as two rank-one projectors live; where singular
+    inputs are outside the case's domain (ineq.singular_inputs_ok) every
+    restart has full rank.
+
     Up to CHUNK_TRIALS independent restarts advance in lockstep, one stacked
     evaluation per step.  Row k of a (restarts, nparams + SEARCH_REFINE_STEPS)
     normal draw holds restart k's start point and step scalars, the stream of
     running restarts one after another, so candidates and decisions match
-    that loop.  Out-of-domain candidates have gap +inf; NaN never wins.
+    that loop.  A step perturbs one parameter, so only the inputs it feeds
+    are rebuilt and decomposed again; the others and their decompositions
+    are kept.  Out-of-domain candidates have gap +inf; NaN never wins.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -301,24 +309,37 @@ def search_counterexample(
     kind = ineq.CASES[case].kind
     rng = np.random.default_rng(seed)
     nparams = kind.param_count(dim)
-
-    def gaps(params: np.ndarray) -> np.ndarray:
-        return ineq.evaluate(case, dict(zip(kind.keys, kind.unpack(params, dim))), q, func, tol_rel).gaps()
+    low_rank = ineq.singular_inputs_ok(case, q, func)
 
     best_params = None
     best_gap = math.inf
     for lo in range(0, budget, CHUNK_TRIALS):
         draws = rng.standard_normal((min(CHUNK_TRIALS, budget - lo), nparams + SEARCH_REFINE_STEPS))
-        params = draws[:, :nparams].copy()
-        gap = gaps(params)
+        # a parameter a restart's rank leaves out stays 0: its steps change nothing
+        live = kind.rank_mask(dim, np.arange(lo, lo + len(draws))) if low_rank else np.ones((len(draws), nparams), bool)
+        params = draws[:, :nparams] * live
+        inputs = kind.unpack(params, dim)
+        batch = ineq.evaluate(case, inputs, q, func, tol_rel)
+        gap = batch.gaps()
+        decomps = {k: mc.SpectralDecomposition(*map(np.array, d)) for k, d in batch.decomps.items()}  # writable
         step = np.full(len(params), SEARCH_INITIAL_STEP)
         for it in range(SEARCH_REFINE_STEPS):
+            column = it % nparams
             candidate = params.copy()
-            candidate[:, it % nparams] += step * draws[:, nparams + it]
-            cand_gap = gaps(candidate)
+            candidate[:, column] += step * draws[:, nparams + it] * live[:, column]
+            changed = kind.unpack(candidate, dim, column)
+            kept = {k: d for k, d in decomps.items() if k not in changed}
+            cand = ineq.evaluate(case, {**inputs, **changed}, q, func, tol_rel, kept)
+            cand_gap = cand.gaps()
             better = cand_gap < gap
-            params[better], gap[better] = candidate[better], cand_gap[better]
             step[~better] *= 0.5
+            if not better.any():
+                continue
+            rows = (better, better[:, None], better[:, None, None])  # by the ndim of the kept array
+            accepted = [(params, candidate), (gap, cand_gap)] + [(inputs[k], changed[k]) for k in changed]
+            accepted += [pair for k in changed if k in decomps for pair in zip(decomps[k], cand.decomps[k])]
+            for old, new in accepted:
+                np.copyto(old, new, where=rows[old.ndim - 1])
         k = int(np.argmin(np.where(np.isnan(gap), math.inf, gap)))
         if gap[k] < best_gap:
             best_gap, best_params = float(gap[k]), params[k]
@@ -326,7 +347,7 @@ def search_counterexample(
     if best_params is None or not math.isfinite(best_gap):
         raise DomainError(f"search produced no evaluable candidate for {case} (q={q}, dim={dim})")
 
-    inputs = {key: m[0] for key, m in zip(kind.keys, kind.unpack(best_params[None], dim))}
+    inputs = {key: m[0] for key, m in kind.unpack(best_params[None], dim).items()}
     rec = evaluate_case(
         case, inputs, q=q, func=func, tol_rel=tol_rel, seed=seed, ensemble="search"
     )

@@ -16,6 +16,7 @@ that reason instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -28,11 +29,13 @@ __all__ = [
     "DEFAULT_TOL_REL",
     "TrialRecord",
     "InputKind",
+    "Factor",
     "Case",
     "Batch",
     "CASES",
     "evaluate",
     "evaluate_one",
+    "singular_inputs_ok",
     "oriented_gap",
     "mccarthy_gap",
     "golden_thompson_gap",
@@ -134,11 +137,20 @@ def oriented_gap(direction: str, lhs, rhs):
 
 
 class _Trials:
-    """Skip reasons of T stacked trials; a trial keeps its first reason."""
+    """Skip reasons of T stacked trials; a trial keeps its first reason.
+    `decomps` holds the spectral decompositions of inputs, by input key."""
 
-    def __init__(self, count: int):
+    def __init__(self, count: int, decomps: dict | None = None):
         self.reasons = [""] * count
         self.residual = None  # PROP_Q4's expansion-identity residual
+        self.decomps = dict(decomps or {})
+
+    def eigh(self, key: str, m: np.ndarray) -> mc.SpectralDecomposition:
+        """The decomposition of input `key` (the stack m): the caller's if it
+        passed one, else mc.eigh(m), kept for the caller."""
+        if key not in self.decomps:
+            self.decomps[key] = mc.eigh(m)
+        return self.decomps[key]
 
     def flag(self, faults: dict[int, str]) -> None:
         for i, msg in faults.items():
@@ -174,10 +186,17 @@ def _overlap(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
     return np.abs(va.mT.conj() @ vb) ** 2
 
 
-def _gram_singular_values(tr: _Trials, m: np.ndarray) -> np.ndarray:
-    """Singular values as square roots of the eigenvalues of M^* M."""
-    lam = np.linalg.eigvalsh(mc.hermitian_part(m.mT.conj() @ m))
-    return np.sqrt(tr.spectra(lam, "nonneg"))
+def _gram_singular_values(tr: _Trials, *blocks: np.ndarray) -> list[np.ndarray]:
+    """Singular values of each stacked block M as square roots of the
+    eigenvalues of M^* M, in one eigvalsh call when the blocks share a shape.
+    A trial keeps the reason of its first rejected block."""
+    if len({m.shape for m in blocks}) > 1:
+        return [s for m in blocks for s in _gram_singular_values(tr, m)]
+    m = np.concatenate(blocks)
+    lam, faults = mc.checked_spectra(np.linalg.eigvalsh(mc.hermitian_part(m.mT.conj() @ m)), "nonneg")
+    count = len(blocks[0])
+    tr.flag({i % count: msg for i, msg in reversed(faults.items())})  # the first block's reason is written last
+    return list(np.sqrt(lam).reshape(len(blocks), count, -1))
 
 
 def _sum_power_lhs(tr, a, b, lam_a, lam_b, q: float) -> np.ndarray:
@@ -208,7 +227,7 @@ def _sandwich_trace_power(tr, lam_a, va, lam_b, vb, s: float) -> np.ndarray:
 
 def _z_blocks(tr: _Trials, c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Z, X) with X = C^* D^{-1} C and Z = [[X, C^*], [C, D]]; D > 0."""
-    lam_d, vd = mc.eigh(d)
+    lam_d, vd = tr.eigh("d", d)
     dinv = mc.hermitian_part(mc.spectral_matrix(vd, tr.power(lam_d, -1.0)))
     x = mc.hermitian_part(c.mT.conj() @ dinv @ c)
     return mc.assemble_blocks(x, c, d), x
@@ -232,9 +251,14 @@ def _golden_thompson(tr, t, g, a, b):
     return lhs, _product_trace(tr, ea, eb)
 
 
+def _main_trace_domain(g: fc.ScalarFunction) -> str:
+    """The domain of A and B: the CM0 form is stated for A, B > 0."""
+    return "positive" if g.class_tag == "CM0" else "nonneg"
+
+
 def _main_trace(tr, q, g, a, b):
-    domain = "positive" if g.class_tag == "CM0" else "nonneg"
-    (lam_a, va), (lam_b, vb) = mc.eigh(a), mc.eigh(b)
+    domain = _main_trace_domain(g)
+    (lam_a, va), (lam_b, vb) = tr.eigh("a", a), tr.eigh("b", b)
     av, bv = tr.spectra(lam_a, domain), tr.spectra(lam_b, domain)
     # every argument of g is validated first: funclass functions reject a
     # whole array for one out-of-domain entry
@@ -246,7 +270,7 @@ def _main_trace(tr, q, g, a, b):
 
 
 def _cor_abq(tr, q, g, a, b):
-    (lam_a, va), (lam_b, vb) = mc.eigh(a), mc.eigh(b)
+    (lam_a, va), (lam_b, vb) = tr.eigh("a", a), tr.eigh("b", b)
     lhs = _sum_power_lhs(tr, a, b, lam_a, lam_b, q)
     ahalf = mc.spectral_matrix(va, tr.power(lam_a, q / 2.0))
     bhalf = mc.spectral_matrix(vb, tr.power(lam_b, q / 2.0))
@@ -254,7 +278,7 @@ def _cor_abq(tr, q, g, a, b):
 
 
 def _cor_pmean(tr, p, g, a, b):
-    (lam_a, va), (lam_b, vb) = mc.eigh(a), mc.eigh(b)
+    (lam_a, va), (lam_b, vb) = tr.eigh("a", a), tr.eigh("b", b)
     ap, bp = mc.spectral_matrix(va, tr.power(lam_a, p)), mc.spectral_matrix(vb, tr.power(lam_b, p))
     lhs = _trace_power(tr, mc.hermitian_part(0.5 * (ap + bp)), 1.0 / p)
     coeff = 2.0 ** (1.0 - 1.0 / p)
@@ -266,7 +290,7 @@ def _cor_pmean(tr, p, g, a, b):
 
 
 def _cor_faltq(tr, q, g, a, b):
-    (lam_a, va), (lam_b, vb) = mc.eigh(a), mc.eigh(b)
+    (lam_a, va), (lam_b, vb) = tr.eigh("a", a), tr.eigh("b", b)
     lhs = _sum_power_lhs(tr, a, b, lam_a, lam_b, q)
     return lhs, (2.0**q - 2.0) * _sandwich_trace_power(tr, lam_a, va, lam_b, vb, q / 2.0)
 
@@ -275,7 +299,7 @@ def _alt(tr, q, g, a, b):
     # trace A^p B^p = sum_ij a_i^p b_j^p |<u_i, v_j>|^2: the terms are
     # nonnegative, so the sum has no cancellation; forming A^p and B^p first
     # loses digits when both are ill conditioned (p < 0).
-    (lam_a, va), (lam_b, vb) = mc.eigh(a), mc.eigh(b)
+    (lam_a, va), (lam_b, vb) = tr.eigh("a", a), tr.eigh("b", b)
     p = q / 2.0
     av, bv = tr.power(lam_a, p), tr.power(lam_b, p)
     lhs = (av[:, None, :] @ _overlap(va, vb) @ bv[:, :, None])[:, 0, 0]
@@ -302,10 +326,12 @@ def _prop_q4(tr, q, g, a, b):
 def _cor_abq3(tr, q, g, c, d):
     z, xm = _z_blocks(tr, c, d)
     lam_z = np.linalg.eigvalsh(z)
-    if q < 0:  # Z has rank dim D: its nonzero spectrum is the top dim D
-        lam_z = tr.spectra(lam_z[:, -d.shape[-1]:], "positive")
+    if q <= 0:  # Z has rank dim D: its nonzero spectrum is the top dim D, and 0^0 would count the zeros
+        lam_z = lam_z[:, -d.shape[-1]:]
+        if q < 0:
+            lam_z = tr.spectra(lam_z, "positive")
     lhs = np.sum(tr.power(lam_z, q), axis=-1) - _trace_power(tr, xm, q) - _trace_power(tr, d, q)
-    sigma = _gram_singular_values(tr, c)
+    (sigma,) = _gram_singular_values(tr, c)
     if q < 0:
         bad = sigma[:, 0] < mc.POSITIVITY_FLOOR_REL * np.maximum(sigma[:, -1], 1.0)
         tr.flag({i: "negative Schatten power of a (near-)singular block" for i in np.flatnonzero(bad).tolist()})
@@ -315,12 +341,16 @@ def _cor_abq3(tr, q, g, c, d):
 
 def _norm_compression(tr, q, g, b, c, d):
     lam = tr.spectra(np.linalg.eigvalsh(mc.assemble_blocks(b, c, d)), "nonneg")  # A must be PSD
-    beta, gamma, delta = (np.sum(_gram_singular_values(tr, m) ** q, axis=-1) for m in (b, c, d))
+    beta, gamma, delta = (np.sum(s**q, axis=-1) for s in _gram_singular_values(tr, b, c, d))
     return np.sum(tr.power(lam, q), axis=-1), (2.0**q - 2.0) * gamma + beta + delta
 
 
+def _trace_subadd_domain(g: fc.ScalarFunction) -> str:
+    return "positive" if getattr(g, "domain", "real") == "positive" else "nonneg"
+
+
 def _trace_subadd(tr, q, g, a, b):
-    domain = "positive" if getattr(g, "domain", "real") == "positive" else "nonneg"
+    domain = _trace_subadd_domain(g)
 
     def tr_g(h):
         return np.sum(g(tr.spectra(np.linalg.eigvalsh(h), domain)), axis=-1)
@@ -423,55 +453,103 @@ def _draw_cd(rng, ensemble, dim):
     return c, mc.random_ensemble(ensemble, dim, rng).entries
 
 
-def _unpack_pair(params, dim):
-    return _gram(_cmat(params, dim, dim)), _gram(_cmat(params[:, 2 * dim * dim :], dim, dim))
+def _whole(m: np.ndarray, dim: int) -> tuple:
+    return (m,)
 
 
-def _unpack_blocks(params, dim):
-    w = _gram(_cmat(params, 2 * dim, 2 * dim))
+def _block_partition(w: np.ndarray, dim: int) -> tuple:
     return w[:, :dim, :dim], w[:, dim:, :dim], w[:, dim:, dim:]
 
 
-def _unpack_cd(params, dim):
-    return _cmat(params, dim, dim), _gram(_cmat(params[:, 2 * dim * dim :], dim, dim))
+@dataclass(frozen=True)
+class Factor:
+    """One slice of a trial's search parameters: the real, then the imaginary
+    parts of a complex side x side factor G (row-major), side = scale * dim.
+    It feeds the inputs `keys`, split from the Gram matrix G G^* when `gram`,
+    else from G.  A `low_rank` factor may be restricted to its first r
+    columns, so that its Gram matrix has rank at most r."""
+
+    keys: tuple[str, ...]
+    scale: int = 1
+    gram: bool = True
+    low_rank: bool = True
+    split: Callable[[np.ndarray, int], tuple] = _whole
+
+    def param_count(self, dim: int) -> int:
+        return 2 * (self.scale * dim) ** 2
+
+    def build(self, params: np.ndarray, dim: int) -> dict:
+        g = _cmat(params, self.scale * dim, self.scale * dim)
+        return dict(zip(self.keys, self.split(_gram(g) if self.gram else g, dim)))
 
 
 @dataclass(frozen=True)
 class InputKind:
     """The matrices one trial consumes, named by `keys` (matrix_<key> in
     config files); "c" is a general block, every other input Hermitian.
-    `unpack` maps (K, P) real search parameters onto K stacked inputs, PSD
-    ones as Gram matrices.  A record's dim sums the columns of `dim_keys`."""
+    `factors` lay the real search parameters out over the inputs, PSD ones as
+    Gram matrices.  A record's dim sums the columns of `dim_keys`."""
 
-    keys: tuple[str, ...]
     draw: Callable[[np.random.Generator, str, int], tuple]
-    unpack: Callable[[np.ndarray, int], tuple]
-    param_count: Callable[[int], int]
+    factors: tuple[Factor, ...]
     dim_keys: tuple[str, ...]
 
+    @cached_property
+    def keys(self) -> tuple[str, ...]:
+        return tuple(k for f in self.factors for k in f.keys)
 
-PAIR = InputKind(("a", "b"), _draw_pair, _unpack_pair, lambda n: 4 * n * n, ("a",))
-BLOCKS = InputKind(("b", "c", "d"), _draw_blocks, _unpack_blocks, lambda n: 8 * n * n, ("b", "d"))
-CD = InputKind(("c", "d"), _draw_cd, _unpack_cd, lambda n: 4 * n * n, ("c", "d"))
+    def param_count(self, dim: int) -> int:
+        return sum(f.param_count(dim) for f in self.factors)
+
+    def unpack(self, params: np.ndarray, dim: int, column: int | None = None) -> dict:
+        """{key: (K, rows, cols)} from (K, P) parameters: every input, or only
+        the inputs that parameter `column` feeds."""
+        out, lo = {}, 0
+        for f in self.factors:
+            hi = lo + f.param_count(dim)
+            if column is None or lo <= column < hi:
+                out.update(f.build(params[:, lo:hi], dim))
+            lo = hi
+        return out
+
+    def rank_mask(self, dim: int, restarts: np.ndarray) -> np.ndarray:
+        """(K, P) mask of the parameters that restart k = restarts[i] uses:
+        those of the first 1 + (k mod s) columns of each low-rank factor of
+        side s, so each Gram matrix it feeds has rank at most 1 + (k mod s)."""
+        masks = []
+        for f in self.factors:
+            side = f.scale * dim
+            col = np.tile(np.arange(side), 2 * side)  # the column of G each parameter sits in
+            limit = restarts % side if f.low_rank else np.full(len(restarts), side)
+            masks.append(col <= limit[:, None])
+        return np.concatenate(masks, axis=1)
+
+
+PAIR = InputKind(_draw_pair, (Factor(("a",)), Factor(("b",))), ("a",))
+BLOCKS = InputKind(_draw_blocks, (Factor(("b", "c", "d"), scale=2, split=_block_partition),), ("b", "d"))
+CD = InputKind(_draw_cd, (Factor(("c",), gram=False, low_rank=False), Factor(("d",), low_rank=False)), ("c", "d"))
 
 
 @dataclass(frozen=True)
 class Case:
     """Catalog entry.  `rule` orients the gap from q, or from the scalar
     function when `needs_func`; `kernel` evaluates both sides over stacked
-    trials; `fixed_q` replaces q for a case evaluated at one exponent."""
+    trials; `fixed_q` replaces q for a case evaluated at one exponent;
+    `input_domain` maps the scalar function onto the domain it imposes on
+    the inputs."""
 
     kind: InputKind
     rule: Callable[[Any], tuple[str, str]]
     kernel: Callable
     needs_func: bool = False
     fixed_q: float | None = None
+    input_domain: Callable[[Any], str] | None = None
 
 
 CASES = {
     "MCCARTHY": Case(PAIR, _dir_mccarthy, _mccarthy),
     "GOLDEN_THOMPSON": Case(PAIR, _dir_golden_thompson, _golden_thompson),
-    "MAIN_TRACE": Case(PAIR, _dir_main_trace, _main_trace, needs_func=True),
+    "MAIN_TRACE": Case(PAIR, _dir_main_trace, _main_trace, needs_func=True, input_domain=_main_trace_domain),
     "COR_ABQ": Case(PAIR, _dir_cor_abq, _cor_abq),
     "COR_PMEAN": Case(PAIR, _dir_cor_pmean, _cor_pmean),
     "COR_FALTQ": Case(PAIR, _dir_cor_faltq, _cor_faltq),
@@ -479,8 +557,21 @@ CASES = {
     "PROP_Q4": Case(PAIR, _dir_prop_q4, _prop_q4, fixed_q=4.0),
     "COR_ABQ3": Case(CD, _dir_cor_abq3, _cor_abq3),
     "NORM_COMPRESSION": Case(BLOCKS, _dir_norm_compression, _norm_compression),
-    "TRACE_SUBADD": Case(PAIR, _dir_trace_subadd, _trace_subadd, needs_func=True),
+    "TRACE_SUBADD": Case(
+        PAIR, _dir_trace_subadd, _trace_subadd, needs_func=True, input_domain=_trace_subadd_domain,
+    ),
 }
+
+
+def singular_inputs_ok(case: str, q: float | None = None, func: fc.ScalarFunction | None = None) -> bool:
+    """Whether singular PSD inputs lie in the domain of `case` at this
+    parameter: not under a negative power, nor where the scalar function
+    needs positive arguments (or, as MAIN_TRACE's CM0 form, A, B > 0)."""
+    entry = CASES[case]
+    if entry.needs_func:
+        return "positive" not in (getattr(func, "domain", "real"), entry.input_domain(func))
+    q = entry.fixed_q if entry.fixed_q is not None else q
+    return q is None or q >= 0
 
 
 @dataclass(frozen=True)
@@ -498,11 +589,12 @@ class Batch:
     reasons: list[str]  # "" where the trial was evaluated
     residual: np.ndarray | None
     tol_rel: float
+    decomps: dict = field(default_factory=dict, repr=False)  # input key -> the kernel's eigh of it
 
     def gaps(self) -> np.ndarray:
         """Oriented gaps, +inf where a trial was skipped."""
         gap = oriented_gap(self.direction, self.lhs, self.rhs)
-        return np.where([bool(r) for r in self.reasons], np.inf, gap)
+        return np.where(np.fromiter(map(bool, self.reasons), bool, len(self.reasons)), np.inf, gap)
 
     def records(self, seeds, ensemble: str, cell: tuple | None = None) -> list[TrialRecord]:
         """One record per trial; a skipped trial's record carries the cell's
@@ -531,15 +623,17 @@ def _func_label(g: fc.ScalarFunction) -> str:
 
 def evaluate(
     case: str, inputs: dict, q: float | None = None, func: fc.ScalarFunction | None = None,
-    tol_rel: float = DEFAULT_TOL_REL,
+    tol_rel: float = DEFAULT_TOL_REL, decomps: dict | None = None,
 ) -> Batch:
     """Evaluate `case` on stacked inputs {key: (T, rows, cols)}.  Trials
     outside the kernel's domain are skipped with a reason; a parameter (q or
-    the function's class) outside the case skips every trial."""
+    the function's class) outside the case skips every trial.  `decomps`
+    {key: mc.eigh(inputs[key])} are decompositions the caller already holds;
+    the batch returns them with those the kernel computed."""
     entry = CASES[case]
     if entry.fixed_q is not None:
         q = entry.fixed_q
-    tr = _Trials(len(inputs[entry.kind.keys[0]]))
+    tr = _Trials(len(inputs[entry.kind.keys[0]]), decomps)
     try:
         direction, mode = entry.rule(func if entry.needs_func else q)
     except DomainError as exc:
@@ -552,7 +646,7 @@ def evaluate(
         case=case, q=None if entry.needs_func else q,
         dim=sum(inputs[k].shape[-1] for k in entry.kind.dim_keys),
         func=_func_label(func) if entry.needs_func else "", direction=direction, mode=mode,
-        lhs=lhs, rhs=rhs, reasons=tr.reasons, residual=tr.residual, tol_rel=tol_rel,
+        lhs=lhs, rhs=rhs, reasons=tr.reasons, residual=tr.residual, tol_rel=tol_rel, decomps=tr.decomps,
     )
 
 

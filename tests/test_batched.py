@@ -9,6 +9,7 @@ import pytest
 from tracelab import explorer as ex
 from tracelab import funclass as fc
 from tracelab import ineq
+from tracelab import matcore as mc
 from tracelab.matcore import DomainError
 
 CM0 = fc.DiscreteMeasureCM0((0.5, 2.0), (1.0, 0.5))
@@ -88,12 +89,15 @@ def test_cell_records_do_not_depend_on_the_chunk_size(case, q, func, monkeypatch
 
 
 def sequential_search(case, q, dim, budget, seed, func):
-    """Reference: the restarts run one after another, one evaluation each step."""
+    """Reference: the restarts run one after another, one evaluation of every
+    input each step; restart k has rank 1 + (k mod n) where singular inputs
+    are in the case's domain."""
     kind = ineq.CASES[case].kind
     rng, nparams = np.random.default_rng(seed), kind.param_count(dim)
+    low_rank = ineq.singular_inputs_ok(case, q, func)
 
     def inputs(params):
-        return {k: m[0] for k, m in zip(kind.keys, kind.unpack(params[None], dim))}
+        return {key: m[0] for key, m in kind.unpack(params[None], dim).items()}
 
     def gap_of(params):
         try:
@@ -102,12 +106,13 @@ def sequential_search(case, q, dim, budget, seed, func):
             return math.inf
 
     best_gap, best = math.inf, None
-    for _ in range(budget):
-        params = rng.standard_normal(nparams)
+    for k in range(budget):
+        live = kind.rank_mask(dim, np.array([k]))[0] if low_rank else np.ones(nparams, bool)
+        params = rng.standard_normal(nparams) * live
         gap, step = gap_of(params), ex.SEARCH_INITIAL_STEP
         for it in range(ex.SEARCH_REFINE_STEPS):
             cand = params.copy()
-            cand[it % nparams] += step * rng.standard_normal()
+            cand[it % nparams] += step * rng.standard_normal() * live[it % nparams]
             cand_gap = gap_of(cand)
             if cand_gap < gap:
                 params, gap = cand, cand_gap
@@ -124,6 +129,9 @@ def sequential_search(case, q, dim, budget, seed, func):
     ("NORM_COMPRESSION", 4.0, None),
     ("MAIN_TRACE", None, fc.DiscreteMeasureBFk(2, (1.0,), (1.0,))),
     ("COR_ABQ3", -2.5, None),
+    ("COR_FALTQ", 2.5, None),
+    ("ALT", -1.0, None),
+    ("COR_PMEAN", 2.0, None),
 ])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_lockstep_search_matches_sequential_restarts(case, q, func, dim, monkeypatch):
@@ -133,6 +141,22 @@ def test_lockstep_search_matches_sequential_restarts(case, q, func, dim, monkeyp
         ref, ref_inputs = sequential_search(case, q, dim, 5, seed, func)
         assert rec.to_json() == ref.to_json()
         assert all(np.array_equal(rec.detail[k], ref_inputs[k]) for k in ref_inputs)
+
+
+def test_search_step_decomposes_only_the_perturbed_input(monkeypatch):
+    # a step perturbs one parameter, which feeds A or B: the other input's
+    # decomposition is kept, so each step decomposes one matrix per restart
+    counted, eigh = [], mc.eigh
+
+    def counting_eigh(a):
+        counted.append(int(np.prod(a.shape[:-2])) if isinstance(a, np.ndarray) else 1)
+        return eigh(a)
+
+    monkeypatch.setattr(mc, "eigh", counting_eigh)
+    restarts = 5
+    ex.search_counterexample("COR_ABQ", 4.0, 2, restarts, 7)
+    # start points (A and B), one input per step, then the best point's record
+    assert sum(counted) == restarts * (2 + ex.SEARCH_REFINE_STEPS) + 2
 
 
 def test_nan_gap_never_wins(monkeypatch):

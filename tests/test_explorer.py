@@ -175,6 +175,38 @@ class TestSearch:
         with pytest.raises(ValueError):
             ex.search_counterexample("COR_ABQ", 4.0, 2, budget=0, seed=1)
 
+    @pytest.mark.parametrize("seed", [21545083216210389, 51219875489557407, 43221104217750621])
+    def test_q4_counterexample_found_in_64_restarts(self, seed):
+        # 64 full-rank restarts missed it on these seeds
+        assert ex.search_counterexample("COR_ABQ", 4.0, 2, budget=64, seed=seed).verdict == "FAIL"
+
+    @pytest.mark.parametrize("q,dim", [(3.05, 2), (3.2, 2), (3.2, 3), (3.5, 3), (3.2, 4)])
+    def test_planted_recall(self, q, dim):
+        # the paper's pair of rank-one projectors violates COR_ABQ at every
+        # q > 3, and at every dim when embedded with a zero block
+        verdicts = [ex.search_counterexample("COR_ABQ", q, dim, budget=200, seed=s).verdict for s in range(100, 110)]
+        assert verdicts == ["FAIL"] * 10
+
+    def test_restart_ranks(self):
+        params = np.random.default_rng(0).standard_normal((4, ineq.PAIR.param_count(3)))
+        restarts = np.arange(4)
+        a = ineq.PAIR.unpack(params * ineq.PAIR.rank_mask(3, restarts), 3)["a"]
+        assert [np.linalg.matrix_rank(m) for m in a] == [1, 2, 3, 1]
+        assert np.array_equal(a[2], ineq.PAIR.unpack(params, 3)["a"][2])
+        d = ineq.CD.unpack(params * ineq.CD.rank_mask(3, restarts), 3)["d"]  # COR_ABQ3 needs D > 0
+        assert [np.linalg.matrix_rank(m) for m in d] == [3] * 4
+
+    def test_singular_inputs_only_inside_the_domain(self):
+        assert ineq.singular_inputs_ok("COR_ABQ", 4.0)
+        assert not ineq.singular_inputs_ok("COR_ABQ", -1.0)
+        assert ineq.singular_inputs_ok("PROP_Q4", -1.0)  # evaluated at q = 4
+        bf = fc.DiscreteMeasureBFk(2, (1.0,), (1.0,))
+        cm = fc.DiscreteMeasureCM0((0.5,), (1.0,))
+        assert ineq.singular_inputs_ok("MAIN_TRACE", func=bf)
+        assert not ineq.singular_inputs_ok("MAIN_TRACE", func=cm)  # stated for A, B > 0
+        assert ineq.singular_inputs_ok("TRACE_SUBADD", func=cm)
+        assert not ineq.singular_inputs_ok("TRACE_SUBADD", func=fc.PowerFunction(-0.5))
+
 
 class TestProbe:
     def test_faltq_high(self):

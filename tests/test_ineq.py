@@ -259,6 +259,11 @@ class TestCorFaltq:
         assert rec.verdict == "CONJECTURE_OBS"
         assert rec.gap > 0  # holds in the conjectured sense here
 
+    def test_q0_equality_on_singular_pair(self):
+        for seed in range(5):
+            a, b = mc.random_psd(3, 1, seed + 270), mc.random_psd(3, 2, seed + 280)
+            assert ineq.cor_faltq_gap(a, b, 0.0).verdict == "PASS"
+
     def test_equal_pd_matrices_equality(self):
         a, _ = pd_pair(3, 14)
         for q in (-2.5, 0.7, 1.5, 2.5):
@@ -400,6 +405,12 @@ class TestAlt:
             for q in (-3.0, -1.0, 0.5, 1.0, 2.5, 4.0):
                 assert ineq.alt_gap(a, b, q).verdict == "PASS"
 
+    def test_q0_equality_on_singular_pair(self):
+        # q = 0 takes the s >= 0 (square root) form, which needs no positivity
+        for seed in range(5):
+            a, b = mc.random_psd(3, 1, seed + 850), mc.random_psd(3, 2, seed + 860)
+            assert ineq.alt_gap(a, b, 0.0).verdict == "PASS"
+
 
 class TestPropQ4:
     def test_identity_matrices(self):
@@ -463,6 +474,16 @@ class TestCorAbq3:
         with pytest.raises(DomainError):
             ineq.cor_abq3_gap(np.eye(2), np.diag([1.0, 0.0]), 1.5)
 
+    def test_q0_equality(self):
+        # trace Z^0 counts the dim nonzero eigenvalues of the rank-dim Z, not
+        # its zeros: lhs = dim - dim - dim = rhs
+        for dim in (2, 3, 4):
+            rng = np.random.default_rng(dim + 1150)
+            c = mc.random_complex_gaussian(rng, dim, dim)
+            d = HermitianMatrix(mc.psd_from_rng(rng, dim, dim).entries + 0.2 * np.eye(dim))
+            rec = ineq.cor_abq3_gap(c, d, 0.0)
+            assert (rec.verdict, rec.lhs, rec.rhs) == ("PASS", -dim, -dim)
+
 
 class TestZSpectrum:
     def test_zero_block(self):
@@ -506,6 +527,16 @@ class TestNormCompression:
             for q in (0.5, 1.5, 2.5):
                 assert ineq.norm_compression_gap(b, c, d, q).verdict == "PASS"
             assert ineq.norm_compression_gap(b, c, d, 4.0).verdict == "CONJECTURE_OBS"
+
+    def test_unequal_block_sizes(self):
+        whole = mc.random_psd(5, 5, 1350).entries
+        b, c, d = whole[:2, :2], whole[2:, :2], whole[2:, 2:]
+        q = 1.5
+        rec = ineq.norm_compression_gap(b, c, d, q)
+        beta, gamma, delta = (np.sum(np.linalg.svd(m, compute_uv=False) ** q) for m in (b, c, d))
+        assert (rec.dim, rec.verdict) == (5, "PASS")
+        assert rec.lhs == pytest.approx(np.sum(np.linalg.eigvalsh(whole) ** q), rel=1e-12)
+        assert rec.rhs == pytest.approx((2.0**q - 2.0) * gamma + beta + delta, rel=1e-12)
 
     def test_rejects_non_psd_assembly(self):
         with pytest.raises(DomainError):
