@@ -26,58 +26,15 @@ from . import funclass as fc
 from . import ineq
 from . import matcore as mc
 
-__all__ = ["main", "RunConfig", "emit_plot_data"]
+__all__ = ["main", "RunConfig"]
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 1000
 DEFAULT_DIMS = (2, 3, 4)
 DEFAULT_BUDGET = 200
 
-PROBE_DEFAULT_GRIDS = {
-    "FALTQ_HIGH": (3.5, 4.0, 6.0),
-    "FALTQ_NEG": (-1.0,),
-    "NORMCOMP_HIGH": (4.0,),
-}
-
 REPRO_DEFAULT_QS = (3.0, 4.0, 5.0)
 REPRO_REL_TOL = 1e-10
-
-# Verdict-region grids swept by `verify` (conjecture regions are probe-only;
-# COR_ABQ beyond q=3 is repro-only).
-VERIFY_GRIDS: dict[str, tuple[float, ...]] = {
-    "MCCARTHY": (0.5, 1.0, 2.0),
-    "GOLDEN_THOMPSON": (0.0, 0.5, 1.0, 2.0),
-    "COR_ABQ": (-1.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
-    "COR_PMEAN": (1.0, 2.0, 3.0),
-    "COR_FALTQ": (-3.0, -2.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
-    "ALT": (-3.0, -1.0, 0.5, 1.5, 2.0, 3.0),
-    "PROP_Q4": (),
-    "COR_ABQ3": (-2.5, 0.5, 1.5, 2.5),
-    "NORM_COMPRESSION": (0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
-    "MAIN_TRACE": (),
-    "TRACE_SUBADD": (),
-}
-
-VERIFY_FUNCS: dict[str, tuple[dict, ...]] = {
-    "MAIN_TRACE": (
-        {"variant": "cm0_discrete", "nodes": [0.5, 2.0], "weights": [1.0, 0.5]},
-        {"variant": "power", "q": -0.5},
-        {"variant": "power", "q": 0.5},
-        {"variant": "bfk_discrete", "k": 0, "nodes": [1.0, 2.0], "weights": [1.0, 0.5]},
-        {"variant": "power", "q": 1.5},
-        {"variant": "bfk_discrete", "k": 1, "nodes": [1.0], "weights": [1.0]},
-        {"variant": "power", "q": 2.5},
-        {"variant": "bfk_discrete", "k": 2, "nodes": [0.7, 1.5], "weights": [1.0, 1.0]},
-        {"variant": "quadratic", "c0": 1.0, "c1": -2.0, "c2": 3.0},
-    ),
-    "TRACE_SUBADD": (
-        {"variant": "cm0_discrete", "nodes": [0.5, 2.0], "weights": [1.0, 0.5]},
-        {"variant": "power", "q": 0.5},
-        {"variant": "bfk_discrete", "k": 0, "nodes": [1.0, 2.0], "weights": [1.0, 0.5]},
-        {"variant": "power", "q": 2.5},
-        {"variant": "bfk_discrete", "k": 2, "nodes": [1.0], "weights": [1.0]},
-    ),
-}
 
 ALLOWED_CONFIG_KEYS = {
     "case", "q", "p", "dim", "dims", "trials", "seed", "tol_rel", "ensemble",
@@ -203,6 +160,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if key in file_cfg:
             matrices[key] = _load_matrix(file_cfg[key])
 
+    tol_rel = pick(args.tol, "tol_rel", float, ineq.DEFAULT_TOL_REL)
+    if not (math.isfinite(tol_rel) and tol_rel >= 0):
+        raise UsageError(f"tolerance must be finite and >= 0, got {tol_rel}")
+
     trials = pick(args.trials, "trials", int, DEFAULT_TRIALS)
     budget = pick(args.budget, "budget", int, DEFAULT_BUDGET)
     if trials < 1 or budget < 1:
@@ -215,7 +176,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         dims=dims,
         trials=trials,
         seed=seed,
-        tol_rel=pick(args.tol, "tol_rel", float, ineq.DEFAULT_TOL_REL),
+        tol_rel=tol_rel,
         ensemble=ensemble,
         out_format=fmt,
         out=args.out if args.out is not None else file_cfg.get("out"),
@@ -243,15 +204,19 @@ def _write_text(out: str | None, text: str) -> None:
         fh.write(text)
 
 
-def emit_plot_data(summary: ex.SweepSummary, path: str) -> None:
-    """Write (q, min_gap, max_gap) triples per cell as CSV for plotting."""
-    lines = ["q,min_gap,max_gap"]
-    for cell in summary.cells:
-        q = "" if cell.q is None else repr(float(cell.q))
-        lo = "" if cell.min_gap is None else repr(cell.min_gap)
-        hi = "" if cell.max_gap is None else repr(cell.max_gap)
-        lines.append(f"{q},{lo},{hi}")
-    _write_text(path, "\n".join(lines) + "\n")
+def _param_grid(config: RunConfig, case: str, default: tuple = (), once: bool = True) -> tuple[float | None, ...]:
+    """The parameter values a command evaluates `case` at: the values of the
+    flag the case entry names (--p falls back to --q), else `default`; a
+    usage error when both are empty.  A case with no free parameter (a
+    scalar function, or one fixed exponent) is evaluated at None: once when
+    `once`, else once per flag value (verify)."""
+    entry = ineq.CASES[case]
+    values = (config.p_values if entry.param == "p" else ()) or config.q_values
+    if entry.needs_func or entry.fixed_q is not None:
+        return (() if once else values) or (None,)
+    if not (values or default):
+        raise UsageError(f"case {case} needs --q (or --p) values")
+    return values or default
 
 
 # ---------------------------------------------------------------------------
@@ -259,22 +224,12 @@ def emit_plot_data(summary: ex.SweepSummary, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _case_q_grid(case: str, config: RunConfig) -> tuple[float | None, ...]:
-    if case == "COR_PMEAN":
-        grid = config.p_values or config.q_values
-    else:
-        grid = config.q_values
-    if not grid:
-        grid = VERIFY_GRIDS[case]
-    return grid if grid else (None,)
-
-
 def _verify_plans(case: str, config: RunConfig, case_seed: int) -> list[ex.SweepPlan]:
+    entry = ineq.CASES[case]
     funcs: tuple = (None,)
-    if ineq.CASES[case].needs_func:
-        raw = (config.func,) if config.func is not None else VERIFY_FUNCS[case]
-        funcs = tuple(fc.function_from_json(d) for d in raw)
-    grid = _case_q_grid(case, config) if funcs == (None,) else (None,)
+    if entry.needs_func:
+        funcs = (fc.function_from_json(config.func),) if config.func is not None else entry.funcs
+    grid = _param_grid(config, case, entry.grid, once=False) if funcs == (None,) else (None,)
     n_cells = max(1, len(grid) * len(config.dims) * len(funcs))
     per_cell = -(-config.trials // n_cells)  # at least config.trials per case
     plans = []
@@ -305,7 +260,7 @@ def _explicit_matrix_records(case: str, config: RunConfig) -> list[ineq.TrialRec
         ex.evaluate_case(
             case, inputs, q=q, func=func, tol_rel=config.tol_rel, seed=-1, ensemble="explicit",
         )
-        for q in _case_q_grid(case, config)
+        for q in _param_grid(config, case, entry.grid, once=False)
     ]
 
 
@@ -359,24 +314,15 @@ def _single_case(config: RunConfig) -> str:
 
 
 def _build_plan(config: RunConfig, case: str) -> ex.SweepPlan:
-    func = None
-    if ineq.CASES[case].needs_func:
-        func = _parse_func(config, case)
-        grid: tuple[float | None, ...] = (None,)
-    elif case == "PROP_Q4":
-        grid = (None,)
-    else:
-        grid = _case_q_grid(case, config)
-        if grid == (None,):
-            raise UsageError(f"case {case} needs --q (or --p) values")
+    entry = ineq.CASES[case]
     return ex.SweepPlan(
         case=case,
-        q_grid=grid,
+        q_grid=_param_grid(config, case, entry.grid),
         dims=config.dims,
         trials_per_cell=config.trials,
         ensemble=config.ensemble,
         base_seed=config.seed,
-        func=func,
+        func=_parse_func(config, case) if entry.needs_func else None,
         tol_rel=config.tol_rel,
     )
 
@@ -399,17 +345,9 @@ def cmd_sweep(config: RunConfig) -> int:
 
 def cmd_search(config: RunConfig) -> int:
     case = _single_case(config)
-    func = None
-    q: float | None = None
-    if ineq.CASES[case].needs_func:
-        func = _parse_func(config, case)
-    elif case != "PROP_Q4":
-        values = config.p_values if case == "COR_PMEAN" else config.q_values
-        if not values:
-            raise UsageError(f"search on {case} needs --q (or --p)")
-        q = values[0]
+    func = _parse_func(config, case) if ineq.CASES[case].needs_func else None
     record = ex.search_counterexample(
-        case, q, config.dims[0], config.budget, config.seed,
+        case, _param_grid(config, case)[0], config.dims[0], config.budget, config.seed,
         func=func, tol_rel=config.tol_rel,
     )
     _write_text(config.out, json.dumps(record.to_json(), indent=2) + "\n")
@@ -422,15 +360,10 @@ def cmd_probe(config: RunConfig) -> int:
     if len(config.cases) != 1:
         raise UsageError("probe needs exactly one region via --case")
     region = config.cases[0]
-    if region not in ex.CONJECTURE_REGIONS:
-        raise UsageError(
-            f"unknown region {region!r}; choose from {sorted(ex.CONJECTURE_REGIONS)}"
-        )
-    case, _ = ex.CONJECTURE_REGIONS[region]
-    grid = config.q_values or PROBE_DEFAULT_GRIDS[region]
+    case = ineq.probe_case(region)
     plan = ex.SweepPlan(
         case=case,
-        q_grid=grid,
+        q_grid=_param_grid(config, case, ineq.CASES[case].probes[region]),
         dims=config.dims,
         trials_per_cell=config.trials,
         ensemble=config.ensemble,

@@ -31,7 +31,6 @@ __all__ = [
     "COUNTEREXAMPLE_B",
     "search_counterexample",
     "probe_conjecture",
-    "CONJECTURE_REGIONS",
     "SWEEP_CSV_HEADER",
 ]
 
@@ -358,23 +357,14 @@ def search_counterexample(
 # Conjecture probes
 # ---------------------------------------------------------------------------
 
-CONJECTURE_REGIONS = {
-    "FALTQ_HIGH": ("COR_FALTQ", lambda q: q > 3),
-    "FALTQ_NEG": ("COR_FALTQ", lambda q: -2 < q < 0),
-    "NORMCOMP_HIGH": ("NORM_COMPRESSION", lambda q: q > 3),
-}
-
-
 def probe_conjecture(region: str, plan: SweepPlan) -> SweepSummary:
-    """Sweep restricted to one of the open parameter regions.  Every emitted
-    verdict is CONJECTURE_OBS (or SKIPPED); the summary reports the minimum
-    observed gap and the seed of the minimizing input."""
-    if region not in CONJECTURE_REGIONS:
-        raise ValueError(f"unknown region {region!r}; choose from {sorted(CONJECTURE_REGIONS)}")
-    case, member = CONJECTURE_REGIONS[region]
+    """Sweep restricted to one of the open parameter regions a case entry
+    names.  Every emitted verdict is CONJECTURE_OBS (or SKIPPED); the summary
+    reports the minimum observed gap and the seed of the minimizing input."""
+    case = ineq.probe_case(region)
     if plan.case != case:
         raise ValueError(f"region {region} probes case {case}, plan has {plan.case}")
-    outside = [q for q in plan.q_grid if q is None or not member(q)]
+    outside = [q for q in plan.q_grid if not ineq.CASES[case].in_region(region, q)]
     if outside:
         raise ValueError(f"q values {outside} fall outside region {region}")
     summary = run_sweep(plan)

@@ -4,18 +4,19 @@ Implements bare completely monotone functions (tag CM0), bare Bernstein
 functions (BF0) and their k-fold primitives (BF1, BF2, ..., "BF{k}"),
 evaluated pointwise or through their half-line integral representations.
 Also hosts the quadrature machinery backing the power-function
-representations, a finite-difference complete-monotonicity checker, and the
-scalar gap pair g(a+b)-g(a)-g(b) vs g(2*sqrt(ab))-2*g(sqrt(ab)).
+representations and the scalar gap pair g(a+b)-g(a)-g(b) vs
+g(2*sqrt(ab))-2*g(sqrt(ab)).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Union
 
 import numpy as np
 
+from . import matcore as mc
 from .matcore import DomainError
 
 __all__ = [
@@ -31,18 +32,11 @@ __all__ = [
     "is_superadditive_class",
     "gap_pair_direction",
     "gap_chain_margins",
-    "eval_scalar",
     "scalar_gap_pair",
-    "check_geometric_concavity",
     "gamma_fn",
     "power_via_quadrature",
     "integrate_unit_interval",
     "integrate_halfline",
-    "integrate_interval",
-    "check_cm_by_differences",
-    "derivative_estimate",
-    "CMReport",
-    "function_to_json",
     "function_from_json",
 ]
 
@@ -50,9 +44,6 @@ __all__ = [
 QUAD_REL_TARGET = 1e-8
 QUAD_NODE_CAP = 2000
 
-# Finite-difference CM checking.
-CM_MAX_ORDER = 5
-CM_STEP_FACTOR = 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +163,7 @@ class PowerFunction:
 
     @property
     def domain(self) -> str:
-        if self.q < 0:
-            return "positive"
-        if self.q == int(self.q):
-            return "real"
-        return "nonneg"
+        return mc._power_domain(self.q)
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=np.float64)
@@ -322,29 +309,29 @@ class DiscreteMeasureBFk:
 ScalarFunction = Union[PowerFunction, ExpKernel, Quadratic, DiscreteMeasureCM0, DiscreteMeasureBFk]
 
 
-def eval_scalar(f: ScalarFunction, x: float) -> float:
-    """Pointwise evaluation on [0, inf) (x > 0 for negative powers)."""
-    if x < 0:
-        raise DomainError(f"function classes live on [0, inf); got x={x}")
-    return float(f(x))
-
-
-def function_to_json(f: ScalarFunction) -> dict:
-    return f.to_json()
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"function parameters must be finite, got {x}")
+    return x
 
 
 def function_from_json(obj: dict) -> ScalarFunction:
+    """Parse a function spec; ValueError for an unknown variant or a
+    non-finite number."""
     variant = obj.get("variant")
     if variant == "power":
-        return PowerFunction(float(obj["q"]))
+        return PowerFunction(_finite(obj["q"]))
     if variant == "exp_kernel":
-        return ExpKernel(float(obj["t"]), int(obj.get("sign", 1)))
+        return ExpKernel(_finite(obj["t"]), int(_finite(obj.get("sign", 1))))
     if variant == "quadratic":
-        return Quadratic(float(obj["c0"]), float(obj["c1"]), float(obj["c2"]))
+        return Quadratic(_finite(obj["c0"]), _finite(obj["c1"]), _finite(obj["c2"]))
     if variant == "cm0_discrete":
-        return DiscreteMeasureCM0(tuple(obj["nodes"]), tuple(obj["weights"]))
+        return DiscreteMeasureCM0(tuple(map(_finite, obj["nodes"])), tuple(map(_finite, obj["weights"])))
     if variant == "bfk_discrete":
-        return DiscreteMeasureBFk(int(obj["k"]), tuple(obj["nodes"]), tuple(obj["weights"]))
+        return DiscreteMeasureBFk(
+            int(_finite(obj["k"])), tuple(map(_finite, obj["nodes"])), tuple(map(_finite, obj["weights"]))
+        )
     raise ValueError(f"unknown function variant {variant!r}")
 
 
@@ -365,14 +352,6 @@ def scalar_gap_pair(g: ScalarFunction, a: float, b: float) -> tuple[float, float
     gap_add = float(g(a + b)) - float(g(a)) - float(g(b))
     gap_geo = float(g(2.0 * root)) - 2.0 * float(g(root))
     return gap_add, gap_geo
-
-
-def check_geometric_concavity(x: float, y: float) -> float:
-    """f(sqrt(xy)) - sqrt(f(x) f(y)) for f(x) = 1 - exp(-x); nonnegative."""
-    if x <= 0 or y <= 0:
-        raise DomainError("geometric concavity check needs x, y > 0")
-    f = lambda u: -math.expm1(-u)
-    return f(math.sqrt(x * y)) - math.sqrt(f(x) * f(y))
 
 
 def gamma_fn(x: float) -> float:
@@ -440,14 +419,6 @@ def integrate_unit_interval(
     return value
 
 
-def integrate_interval(f, a: float, b: float, **kw) -> float:
-    """Integrate f over (a, b) by mapping onto the unit interval."""
-    if b == a:
-        return 0.0
-    span = b - a
-    return span * integrate_unit_interval(lambda y: f(a + span * y), **kw)
-
-
 def integrate_halfline(f, **kw) -> float:
     """Integrate f over (0, inf), split at 1 with s -> 1/s on the tail."""
     head = integrate_unit_interval(f, **kw)
@@ -483,74 +454,3 @@ def power_via_quadrature(q: float, x: float) -> float:
         )
         return q / gamma_fn(1.0 - q) * (head + tail)
     raise DomainError(f"representation holds for q < 0 or 0 < q < 1, got q={q}")
-
-
-# ---------------------------------------------------------------------------
-# Complete monotonicity by finite differences
-# ---------------------------------------------------------------------------
-
-
-def derivative_estimate(f: Callable[[float], float], x: float, order: int, h: float | None = None) -> float:
-    """n-th derivative by central differences with one Richardson step."""
-    if h is None:
-        h = CM_STEP_FACTOR * x
-
-    def central(step: float) -> float:
-        acc = 0.0
-        for i in range(order + 1):
-            offset = (order / 2.0 - i) * step
-            acc += (-1.0) ** i * math.comb(order, i) * f(x + offset)
-        return acc / step**order
-
-    d1 = central(h)
-    d2 = central(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0
-
-
-@dataclass(frozen=True)
-class CMOrderReport:
-    order: int
-    max_violation: float
-    scale: float
-    worst_x: float
-    estimates: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class CMReport:
-    orders: tuple[CMOrderReport, ...]
-    worst_violation: float
-    worst_order: int
-    worst_x: float
-
-
-def check_cm_by_differences(f: Callable[[float], float], grid: Sequence[float], order_max: int) -> CMReport:
-    """Estimate derivatives 1..order_max on the grid and report the worst
-    violation of the alternating-sign pattern (-1)^n f^(n)(x) >= 0.
-
-    Report-only: never raises on violations.
-    """
-    if not 1 <= order_max <= CM_MAX_ORDER:
-        raise ValueError(f"order_max must be in 1..{CM_MAX_ORDER}")
-    xs = [float(x) for x in grid]
-    if not xs or any(x <= 0 for x in xs):
-        raise DomainError("grid must be non-empty and strictly positive")
-
-    reports = []
-    worst = (0.0, 0, xs[0])
-    for n in range(1, order_max + 1):
-        est = np.array([derivative_estimate(f, x, n) for x in xs])
-        signed = ((-1.0) ** n) * est
-        violations = np.clip(-signed, 0.0, None)
-        idx = int(np.argmax(violations))
-        rep = CMOrderReport(
-            order=n,
-            max_violation=float(violations[idx]),
-            scale=float(np.max(np.abs(est))),
-            worst_x=xs[idx],
-            estimates=est,
-        )
-        reports.append(rep)
-        if rep.max_violation > worst[0]:
-            worst = (rep.max_violation, n, rep.worst_x)
-    return CMReport(tuple(reports), worst[0], worst[1], worst[2])

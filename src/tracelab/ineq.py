@@ -1,8 +1,9 @@
 """The inequality catalog.
 
 Each case of the trace-inequality family is one entry of CASES: the kind of
-input a trial consumes, the rule that orients its gap, and a kernel that
-evaluates both sides on T stacked trials at once.  The oriented gap is
+input a trial consumes, the rule that orients its gap, a kernel that
+evaluates both sides on T stacked trials at once, and the parameter grids
+and named open regions the commands run it over.  The oriented gap is
 gap = rhs - lhs for "<=" cases and lhs - rhs for ">=" cases, so PASS is always
 gap >= -tol.  Parameter regions where only numerical evidence exists never
 emit FAIL; they emit CONJECTURE_OBS with the signed gap.
@@ -33,6 +34,7 @@ __all__ = [
     "Case",
     "Batch",
     "CASES",
+    "probe_case",
     "evaluate",
     "evaluate_one",
     "singular_inputs_ok",
@@ -363,48 +365,56 @@ def _trace_subadd(tr, q, g, a, b):
 # ---------------------------------------------------------------------------
 
 
-def _regions(eq: tuple, spans: tuple, outside: tuple | None = None) -> Callable:
+@dataclass(frozen=True)
+class Regions:
     """Direction rule from a region list: exponents in `eq` are equality
     cases; otherwise the first (upper bound, direction, mode) span with
     q <= bound applies.  `outside` = (predicate, message) marks the
     parameters that lie outside the case."""
 
-    def rule(q: float) -> tuple[str, str]:
-        if outside is not None and outside[0](q):
-            raise DomainError(outside[1].format(q))
-        if q in eq:
-            return "eq", VERDICT
-        return next(((d, m) for hi, d, m in spans if q <= hi), spans[-1][1:])
+    eq: tuple
+    spans: tuple
+    outside: tuple | None = None
 
-    return rule
+    def span(self, q: float) -> int | None:
+        """Index of the span q falls in; None for an equality exponent."""
+        if self.outside is not None and self.outside[0](q):
+            raise DomainError(self.outside[1].format(q))
+        if q in self.eq:
+            return None
+        return next((i for i, (hi, _, _) in enumerate(self.spans) if q <= hi), len(self.spans) - 1)
+
+    def __call__(self, q: float) -> tuple[str, str]:
+        i = self.span(q)
+        return ("eq", VERDICT) if i is None else self.spans[i][1:]
 
 
-_dir_mccarthy = _regions(
+_dir_mccarthy = Regions(
     (1.0,), ((1.0, "le", VERDICT), (np.inf, "ge", VERDICT)),
     (lambda q: q <= 0, "McCarthy inequality needs q > 0, got {}"),
 )
-_dir_golden_thompson = _regions((), ((np.inf, "le", VERDICT),), (lambda t: t < 0, "kernel rate t must be >= 0, got {}"))
-_dir_cor_pmean = _regions(
+_dir_golden_thompson = Regions((), ((np.inf, "le", VERDICT),), (lambda t: t < 0, "kernel rate t must be >= 0, got {}"))
+_dir_cor_pmean = Regions(
     (1.0,), ((np.inf, "ge", VERDICT),), (lambda p: p < 1, "power-mean corollary needs p >= 1, got {}")
 )
 # Stated sense ">=" on (0,1] u [2,3]; reversed on q<0 and [1,2]; q in {0,1,2}
 # are the quadratic equality exponents.  Beyond 3 the theorem fails in
 # general: evaluation keeps the ">=" orientation and lets the verdict report
 # what the matrices do.
-_dir_cor_abq = _regions(
+_dir_cor_abq = Regions(
     (0.0, 1.0, 2.0), ((0.0, "le", VERDICT), (1.0, "ge", VERDICT), (2.0, "le", VERDICT), (np.inf, "ge", VERDICT))
 )
-_dir_cor_faltq = _regions((0.0, 1.0, 2.0), (
+_dir_cor_faltq = Regions((0.0, 1.0, 2.0), (
     (-2.0, "le", VERDICT), (0.0, "le", CONJECTURE), (1.0, "ge", VERDICT), (2.0, "le", VERDICT),
     (3.0, "ge", VERDICT), (np.inf, "ge", CONJECTURE),
 ))
 _dir_cor_abq3 = _dir_cor_faltq  # same region layout after rearrangement
-_dir_alt = _regions((0.0, -2.0, 2.0), ((-2.0, "ge", VERDICT), (2.0, "le", VERDICT), (np.inf, "ge", VERDICT)))
-_dir_norm_compression = _regions(
+_dir_alt = Regions((0.0, -2.0, 2.0), ((-2.0, "ge", VERDICT), (2.0, "le", VERDICT), (np.inf, "ge", VERDICT)))
+_dir_norm_compression = Regions(
     (1.0, 2.0), ((1.0, "ge", VERDICT), (2.0, "le", VERDICT), (3.0, "ge", VERDICT), (np.inf, "ge", CONJECTURE)),
     (lambda q: q <= 0, "norm compression needs q > 0, got {}"),
 )
-_dir_prop_q4 = _regions((), ((np.inf, "ge", VERDICT),))
+_dir_prop_q4 = Regions((), ((np.inf, "ge", VERDICT),))
 
 
 def _dir_main_trace(g: fc.ScalarFunction) -> tuple[str, str]:
@@ -536,7 +546,9 @@ class Case:
     function when `needs_func`; `kernel` evaluates both sides over stacked
     trials; `fixed_q` replaces q for a case evaluated at one exponent;
     `input_domain` maps the scalar function onto the domain it imposes on
-    the inputs."""
+    the inputs.  `verify` runs the case over `grid`, or over `funcs` when
+    `needs_func`; `param` names the flag that sets the parameter; `probes`
+    maps each named open region of the case to its default grid."""
 
     kind: InputKind
     rule: Callable[[Any], tuple[str, str]]
@@ -544,23 +556,73 @@ class Case:
     needs_func: bool = False
     fixed_q: float | None = None
     input_domain: Callable[[Any], str] | None = None
+    grid: tuple[float, ...] = ()
+    funcs: tuple = ()
+    param: str = "q"
+    probes: dict[str, tuple[float, ...]] = field(default_factory=dict)
+
+    def in_region(self, region: str, q: float | None) -> bool:
+        """Whether q lies in the open region `region`: a CONJECTURE exponent
+        in the same span of the rule as the region's default grid."""
+        if q is None:
+            return False
+        try:
+            return self.rule(q)[1] == CONJECTURE and self.rule.span(q) == self.rule.span(self.probes[region][0])
+        except DomainError:
+            return False
 
 
+# Verify grids cover the verdict regions: conjecture regions are probe-only,
+# and COR_ABQ beyond q=3 is repro-only.
 CASES = {
-    "MCCARTHY": Case(PAIR, _dir_mccarthy, _mccarthy),
-    "GOLDEN_THOMPSON": Case(PAIR, _dir_golden_thompson, _golden_thompson),
-    "MAIN_TRACE": Case(PAIR, _dir_main_trace, _main_trace, needs_func=True, input_domain=_main_trace_domain),
-    "COR_ABQ": Case(PAIR, _dir_cor_abq, _cor_abq),
-    "COR_PMEAN": Case(PAIR, _dir_cor_pmean, _cor_pmean),
-    "COR_FALTQ": Case(PAIR, _dir_cor_faltq, _cor_faltq),
-    "ALT": Case(PAIR, _dir_alt, _alt),
+    "MCCARTHY": Case(PAIR, _dir_mccarthy, _mccarthy, grid=(0.5, 1.0, 2.0)),
+    "GOLDEN_THOMPSON": Case(PAIR, _dir_golden_thompson, _golden_thompson, grid=(0.0, 0.5, 1.0, 2.0)),
+    "MAIN_TRACE": Case(
+        PAIR, _dir_main_trace, _main_trace, needs_func=True, input_domain=_main_trace_domain,
+        funcs=(
+            fc.DiscreteMeasureCM0((0.5, 2.0), (1.0, 0.5)),
+            fc.PowerFunction(-0.5),
+            fc.PowerFunction(0.5),
+            fc.DiscreteMeasureBFk(0, (1.0, 2.0), (1.0, 0.5)),
+            fc.PowerFunction(1.5),
+            fc.DiscreteMeasureBFk(1, (1.0,), (1.0,)),
+            fc.PowerFunction(2.5),
+            fc.DiscreteMeasureBFk(2, (0.7, 1.5), (1.0, 1.0)),
+            fc.Quadratic(1.0, -2.0, 3.0),
+        ),
+    ),
+    "COR_ABQ": Case(PAIR, _dir_cor_abq, _cor_abq, grid=(-1.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)),
+    "COR_PMEAN": Case(PAIR, _dir_cor_pmean, _cor_pmean, grid=(1.0, 2.0, 3.0), param="p"),
+    "COR_FALTQ": Case(
+        PAIR, _dir_cor_faltq, _cor_faltq, grid=(-3.0, -2.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
+        probes={"FALTQ_HIGH": (3.5, 4.0, 6.0), "FALTQ_NEG": (-1.0,)},
+    ),
+    "ALT": Case(PAIR, _dir_alt, _alt, grid=(-3.0, -1.0, 0.5, 1.5, 2.0, 3.0)),
     "PROP_Q4": Case(PAIR, _dir_prop_q4, _prop_q4, fixed_q=4.0),
-    "COR_ABQ3": Case(CD, _dir_cor_abq3, _cor_abq3),
-    "NORM_COMPRESSION": Case(BLOCKS, _dir_norm_compression, _norm_compression),
+    "COR_ABQ3": Case(CD, _dir_cor_abq3, _cor_abq3, grid=(-2.5, 0.5, 1.5, 2.5)),
+    "NORM_COMPRESSION": Case(
+        BLOCKS, _dir_norm_compression, _norm_compression, grid=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
+        probes={"NORMCOMP_HIGH": (4.0,)},
+    ),
     "TRACE_SUBADD": Case(
         PAIR, _dir_trace_subadd, _trace_subadd, needs_func=True, input_domain=_trace_subadd_domain,
+        funcs=(
+            fc.DiscreteMeasureCM0((0.5, 2.0), (1.0, 0.5)),
+            fc.PowerFunction(0.5),
+            fc.DiscreteMeasureBFk(0, (1.0, 2.0), (1.0, 0.5)),
+            fc.PowerFunction(2.5),
+            fc.DiscreteMeasureBFk(2, (1.0,), (1.0,)),
+        ),
     ),
 }
+
+
+def probe_case(region: str) -> str:
+    """The case whose entry names the open region `region`."""
+    owners = {r: name for name, entry in CASES.items() for r in entry.probes}
+    if region not in owners:
+        raise ValueError(f"unknown region {region!r}; choose from {sorted(owners)}")
+    return owners[region]
 
 
 def singular_inputs_ok(case: str, q: float | None = None, func: fc.ScalarFunction | None = None) -> bool:

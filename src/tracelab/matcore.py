@@ -1,8 +1,8 @@
 """Dense Hermitian linear-algebra kernel.
 
 Construction, spectral decomposition (LAPACK through numpy.linalg.eigh),
-spectral function application, traces, singular values (numpy.linalg.svd),
-Schatten norms, 2x2 block assembly and seeded random PSD ensembles.
+matrix powers, singular values (numpy.linalg.svd), domain checks of spectra,
+2x2 block assembly and seeded random PSD ensembles.
 Everything is a pure function of its inputs; random generation is always
 seed-parameterized, never global.  Results are bit-for-bit repeatable within
 one numpy/LAPACK build and BLAS thread setting.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,29 +24,18 @@ __all__ = [
     "ShapeError",
     "DomainError",
     "HermitianMatrix",
-    "GeneralMatrix",
     "SpectralDecomposition",
     "eigh",
     "hermitian_part",
     "spectral_matrix",
     "checked_spectra",
     "assemble_blocks",
-    "apply_spectral_function",
     "matrix_power",
-    "trace_power",
-    "matrix_exp",
-    "trace_of",
-    "mat_mul",
-    "schatten_norm",
     "singular_values",
-    "random_psd",
-    "random_hermitian",
-    "random_unitary",
     "random_complex_gaussian",
     "random_ensemble",
     "ENSEMBLES",
     "block2x2",
-    "split_blocks",
     "matrix_to_json",
     "matrix_from_json",
 ]
@@ -101,25 +90,8 @@ class HermitianMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class GeneralMatrix:
-    """Arbitrary rectangular complex matrix (the off-diagonal block C)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=np.complex128)
-        if m.ndim != 2:
-            raise ShapeError(f"expected a 2-d array, got shape {m.shape}")
-        if min(m.shape) < 1:
-            raise ShapeError("matrix must be non-empty")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-
 def _coerce(a) -> np.ndarray:
-    if isinstance(a, (HermitianMatrix, GeneralMatrix)):
+    if isinstance(a, HermitianMatrix):
         return a.entries
     return np.asarray(a, dtype=np.complex128)
 
@@ -207,25 +179,6 @@ def checked_spectra(lam: np.ndarray, domain: str) -> tuple[np.ndarray, dict[int,
     return np.where(bad[:, None], 1.0, lam), {i: why.format(lo[i], scale[i]) for i in rows}
 
 
-def _domain_checked_eigenvalues(lam: np.ndarray, domain: str) -> np.ndarray:
-    """checked_spectra for one spectrum; raises DomainError on rejection."""
-    out, faults = checked_spectra(lam[None], domain)
-    if faults:
-        raise DomainError(faults[0])
-    return out[0]
-
-
-def apply_spectral_function(a, g: Callable) -> HermitianMatrix:
-    """Return sum_k g(a_k) v_k v_k^* for the spectral decomposition of a.
-
-    g may carry a `domain` attribute ('real' | 'nonneg' | 'positive')
-    controlling eigenvalue validation; plain callables are assumed 'real'.
-    """
-    dec = eigh(a)
-    lam = _domain_checked_eigenvalues(dec.eigenvalues, getattr(g, "domain", "real"))
-    return HermitianMatrix(spectral_matrix(dec.eigenvectors, np.asarray(g(lam), dtype=np.float64)))
-
-
 def _power_domain(q: float) -> str:
     if q < 0:
         return "positive"
@@ -234,60 +187,13 @@ def _power_domain(q: float) -> str:
     return "nonneg"
 
 
-def _power_on_spectrum(lam: np.ndarray, q: float) -> np.ndarray:
-    lam = _domain_checked_eigenvalues(lam, _power_domain(q))
-    return np.power(lam, q)
-
-
 def matrix_power(a, q: float) -> HermitianMatrix:
     """A^q by spectral calculus; strictly PD input required for q < 0."""
     dec = eigh(a)
-    return HermitianMatrix(spectral_matrix(dec.eigenvectors, _power_on_spectrum(dec.eigenvalues, q)))
-
-
-def trace_power(a, q: float) -> float:
-    """trace A^q as a sum over eigenvalue powers (0^0 counts as 1)."""
-    dec = eigh(a)
-    return float(np.sum(_power_on_spectrum(dec.eigenvalues, q)))
-
-
-def matrix_exp(a) -> HermitianMatrix:
-    """exp(A) for Hermitian A by spectral calculus."""
-    dec = eigh(a)
-    return HermitianMatrix(spectral_matrix(dec.eigenvectors, np.exp(dec.eigenvalues)))
-
-
-def trace_of(a) -> float:
-    """Real trace; asserts the imaginary part is rounding-level only."""
-    m = _coerce(a)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"trace of a non-square matrix, shape {m.shape}")
-    t = complex(np.trace(m))
-    scale = max(abs(t), _fro(m), 1.0)
-    if abs(t.imag) > 1e-12 * scale:
-        raise DomainError(f"trace has a non-negligible imaginary part: {t!r}")
-    return t.real
-
-
-def mat_mul(a, b) -> GeneralMatrix:
-    ma, mb = _coerce(a), _coerce(b)
-    if ma.shape[1] != mb.shape[0]:
-        raise ShapeError(f"cannot multiply shapes {ma.shape} and {mb.shape}")
-    return GeneralMatrix(ma @ mb)
-
-
-def schatten_norm(x, q: float) -> float:
-    """Schatten q-norm (sum of sigma_i^q)^(1/q); q must be positive.
-
-    Singular values are the square roots of the eigenvalues of X^* X.
-    """
-    if q <= 0:
-        raise DomainError(f"Schatten norm requires q > 0, got {q}")
-    m = _coerce(x)
-    gram = HermitianMatrix(m.conj().T @ m)
-    lam = _domain_checked_eigenvalues(eigh(gram).eigenvalues, "nonneg")
-    sigma = np.sqrt(lam)
-    return float(np.sum(sigma**q) ** (1.0 / q))
+    lam, faults = checked_spectra(dec.eigenvalues[None], _power_domain(q))
+    if faults:
+        raise DomainError(faults[0])
+    return HermitianMatrix(spectral_matrix(dec.eigenvectors, np.power(lam[0], q)))
 
 
 def singular_values(x) -> np.ndarray:
@@ -309,23 +215,9 @@ def random_complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> n
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
 
-def random_psd(dim: int, rank: int, seed: int) -> HermitianMatrix:
-    """G G^* with G a dim x rank seeded complex Gaussian factor."""
-    if not 1 <= rank <= dim:
-        raise ShapeError(f"need 1 <= rank <= dim, got rank={rank}, dim={dim}")
-    rng = np.random.default_rng(seed)
-    return psd_from_rng(rng, dim, rank)
-
-
 def psd_from_rng(rng: np.random.Generator, dim: int, rank: int) -> HermitianMatrix:
     g = random_complex_gaussian(rng, dim, rank)
     return HermitianMatrix(g @ g.conj().T)
-
-
-def random_hermitian(dim: int, seed: int) -> HermitianMatrix:
-    rng = np.random.default_rng(seed)
-    g = random_complex_gaussian(rng, dim, dim)
-    return HermitianMatrix(g)  # constructor symmetrizes
 
 
 def unitary_from_rng(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -333,10 +225,6 @@ def unitary_from_rng(rng: np.random.Generator, dim: int) -> np.ndarray:
     q, r = np.linalg.qr(g)
     d = np.diag(r)
     return q * (d / np.abs(d))
-
-
-def random_unitary(dim: int, seed: int) -> GeneralMatrix:
-    return GeneralMatrix(unitary_from_rng(np.random.default_rng(seed), dim))
 
 
 def _wishart(rng, dim):
@@ -394,16 +282,7 @@ def assemble_blocks(b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.concatenate([top, np.concatenate([c, d], axis=-1)], axis=-2)
 
 
-def split_blocks(a, top_dim: int) -> tuple[HermitianMatrix, GeneralMatrix, HermitianMatrix]:
-    """Partition a Hermitian matrix into (B, C, D) with B of size top_dim."""
-    m = as_hermitian(a).entries
-    n = m.shape[0]
-    if not 0 < top_dim < n:
-        raise ShapeError(f"top_dim must be in (0, {n}), got {top_dim}")
-    b = HermitianMatrix(m[:top_dim, :top_dim])
-    c = GeneralMatrix(m[top_dim:, :top_dim])
-    d = HermitianMatrix(m[top_dim:, top_dim:])
-    return b, c, d
+
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,13 @@ class TestVerify:
         assert set(counts) == set(ineq.CASES)
         assert min(counts.values()) >= 200
 
+    def test_pmean_grid_from_q_or_p(self, capsys):
+        argv = ["verify", "--case", "COR_PMEAN", "--trials", "4", "--dim", "2"]
+        code, out, _ = run(argv + ["--q", "2.5"], capsys)
+        assert code == 0
+        assert {json.loads(line)["q"] for line in out.splitlines()} == {2.5}
+        assert run(argv + ["--p", "2.5", "--q", "7"], capsys)[1] == out  # --p wins
+
     def test_unknown_case_is_usage_error(self, capsys):
         code, _, err = run(["verify", "--case", "NOSUCH"], capsys)
         assert code == 2
@@ -158,6 +165,12 @@ class TestSweep:
         assert code == 0
         assert json.loads(out)["plan"]["q_grid"] == [0.5, 1.0, 2.0]
 
+    def test_fixed_exponent_case_runs_once(self, capsys):
+        code, out, _ = run(["sweep", "--case", "PROP_Q4", "--q", "2,3", "--dim", "2", "--trials", "3"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["plan"]["q_grid"] == [None] and len(doc["cells"]) == 1
+
     def test_func_case_without_func_is_usage_error(self, capsys):
         code, _, err = run(["sweep", "--case", "MAIN_TRACE", "--dim", "2", "--trials", "3"], capsys)
         assert code == 2
@@ -196,6 +209,26 @@ class TestSearch:
         assert code == 1
         assert json.loads(out)["verdict"] == "FAIL"
 
+    def test_pmean_takes_q_as_p(self, capsys):
+        # COR_PMEAN's parameter is p; --q stands in for it, as in sweep and verify
+        argv = ["search", "--case", "COR_PMEAN", "--dim", "2", "--budget", "3", "--seed", "1"]
+        code, out, _ = run(argv + ["--q", "2"], capsys)
+        assert code == 0
+        assert json.loads(out)["q"] == 2.0
+        assert run(argv + ["--p", "2"], capsys)[1] == out
+
+    def test_needs_a_parameter(self, capsys):
+        code, out, err = run(["search", "--case", "COR_ABQ", "--dim", "2", "--budget", "2"], capsys)
+        assert code == 2
+        assert "--q" in err and out == ""
+
+    def test_fixed_exponent_case_ignores_q(self, capsys):
+        argv = ["search", "--case", "PROP_Q4", "--dim", "2", "--budget", "2", "--seed", "3"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["q"] == 4.0
+        assert run(argv + ["--q", "2"], capsys)[1] == out
+
     def test_clean_region_exit_zero(self, capsys):
         code, out, _ = run(
             ["search", "--case", "COR_ABQ", "--q", "2", "--dim", "2",
@@ -224,6 +257,14 @@ class TestProbe:
         code, out, _ = run(["probe", "--case", "NORMCOMP_HIGH", "--dim", "2", "--trials", "5"], capsys)
         assert code == 0
         assert json.loads(out)["plan"]["q_grid"] == [4.0]
+
+    @pytest.mark.parametrize("region", ["FALTQ_HIGH", "FALTQ_NEG"])
+    def test_probe_grid_comes_from_the_case_entry(self, region, capsys):
+        code, out, _ = run(["probe", "--case", region, "--dim", "2", "--trials", "2", "--p", "9"], capsys)
+        assert code == 0
+        plan = json.loads(out)["plan"]
+        assert plan["case"] == "COR_FALTQ"
+        assert plan["q_grid"] == list(ineq.CASES["COR_FALTQ"].probes[region])
 
 
 class TestConfigHandling:
@@ -286,6 +327,34 @@ class TestConfigHandling:
     def test_missing_command_usage(self, capsys):
         assert cli.main([]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_bad_tolerance_is_usage_error(self, value, capsys):
+        code, out, err = run(["verify", "--case", "COR_ABQ", "--trials", "20", "--tol", value], capsys)
+        assert code == 2
+        assert "tolerance" in err and out == ""
+
+    def test_zero_tolerance_is_valid(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol_rel": 0}))
+        code, out, _ = run(["sweep", "--case", "COR_ABQ", "--q", "2.5", "--dim", "2", "--trials", "3", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert json.loads(out)["plan"]["tol_rel"] == 0
+
+    @pytest.mark.parametrize(
+        "func",
+        [
+            {"variant": "power", "q": float("inf")},
+            {"variant": "exp_kernel", "t": float("nan")},
+            {"variant": "cm0_discrete", "nodes": [float("nan"), 1.0], "weights": [1.0, 1.0]},
+        ],
+    )
+    def test_non_finite_func_spec_is_usage_error(self, func, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"func": func}))  # written as the JSON extensions Infinity / NaN
+        code, out, err = run(["sweep", "--case", "MAIN_TRACE", "--dim", "2", "--trials", "3", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "finite" in err and out == ""
+
     @pytest.mark.parametrize("flag", ["--q", "--p"])
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_numbers_are_usage_errors(self, flag, value, capsys):
@@ -293,20 +362,3 @@ class TestConfigHandling:
         assert code == 2
         assert "finite" in err
 
-
-class TestPlotData:
-    def test_rows_per_cell(self, tmp_path):
-        summary = ex.run_sweep(ex.SweepPlan("COR_ABQ", (0.5, 1.5, 2.5), (2, 3), 5, base_seed=1))
-        path = tmp_path / "plot.csv"
-        cli.emit_plot_data(summary, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "q,min_gap,max_gap"
-        assert len(lines) == 1 + 6
-
-    def test_single_cell_and_determinism(self, tmp_path):
-        summary = ex.run_sweep(ex.SweepPlan("COR_ABQ", (2.0,), (2,), 5, base_seed=1))
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        cli.emit_plot_data(summary, str(p1))
-        cli.emit_plot_data(summary, str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
-        assert len(p1.read_text().splitlines()) == 2

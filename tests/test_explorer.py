@@ -228,6 +228,22 @@ class TestProbe:
         summary = ex.probe_conjecture("NORMCOMP_HIGH", plan)
         assert summary.cells[0].conjecture == 25
 
+    def test_region_membership_follows_the_rule(self):
+        # the regions as stated spans; membership now comes from the case rule
+        stated = {
+            "FALTQ_HIGH": ("COR_FALTQ", lambda q: q > 3),
+            "FALTQ_NEG": ("COR_FALTQ", lambda q: -2 < q < 0),
+            "NORMCOMP_HIGH": ("NORM_COMPRESSION", lambda q: q > 3),
+        }
+        grid = [x + d for x in (-2.0, 0.0, 3.0) for d in (-1e-12, 0.0, 1e-12)]
+        grid += [-3.0, -1.0, 0.5, 1.0, 2.0, 3.5, 4.0, 6.0, -np.inf, np.inf]
+        for region, (case, member) in stated.items():
+            entry = ineq.CASES[case]
+            assert ineq.probe_case(region) == case
+            for q in grid + list(entry.probes[region]):
+                assert entry.in_region(region, q) == member(q), (region, q)
+            assert not entry.in_region(region, None)
+
     def test_region_validation(self):
         plan = ex.SweepPlan("COR_FALTQ", (2.0,), (2,), 5, base_seed=1)
         with pytest.raises(ValueError):

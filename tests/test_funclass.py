@@ -33,27 +33,30 @@ def sample_ab(f, rng, n):
 
 class TestEvaluation:
     def test_power_sqrt(self):
-        assert fc.eval_scalar(fc.PowerFunction(0.5), 4.0) == 2.0
+        assert fc.PowerFunction(0.5)(4.0) == 2.0
 
     def test_bfk_vanishes_at_zero(self):
         f = fc.DiscreteMeasureBFk(1, (1.0,), (1.0,))
-        assert fc.eval_scalar(f, 0.0) == 0.0
+        assert f(0.0) == 0.0
 
     def test_cm0_measure_at_zero(self):
         f = fc.DiscreteMeasureCM0((1.0, 2.0), (1.0, 1.0))
-        assert fc.eval_scalar(f, 0.0) == 2.0
+        assert f(0.0) == 2.0
 
     def test_negative_power_rejects_zero(self):
         with pytest.raises(DomainError):
-            fc.eval_scalar(fc.PowerFunction(-1.0), 0.0)
+            fc.PowerFunction(-1.0)(0.0)
 
     def test_negative_x_rejected(self):
         with pytest.raises(DomainError):
-            fc.eval_scalar(fc.PowerFunction(0.5), -1.0)
+            fc.PowerFunction(0.5)(-1.0)
 
     def test_exp_kernel_both_signs(self):
         assert fc.ExpKernel(2.0, 1)(1.5) == pytest.approx(math.exp(-3.0), rel=1e-15)
         assert fc.ExpKernel(2.0, -1)(1.5) == pytest.approx(-math.expm1(-3.0), rel=1e-15)
+        # rate 0 is allowed: the constants 1 and 0, which are quadratics
+        assert (fc.ExpKernel(0.0, 1)(1.5), fc.ExpKernel(0.0, -1)(1.5)) == (1.0, 0.0)
+        assert fc.ExpKernel(0.0).class_tag == "quadratic"
 
     def test_bf0_kernel_equals_exp_kernel(self):
         # k = 0 of the primitive family is exactly 1 - exp(-x t)
@@ -154,42 +157,12 @@ class TestPowerQuadrature:
             fc.power_via_quadrature(0.5, 0.0)
 
     def test_interval_quadrature_polynomial(self):
-        # exact-ish on a smooth integrand: int_0^2 x^3 dx = 4
-        assert fc.integrate_interval(lambda x: x**3, 0.0, 2.0) == pytest.approx(4.0, rel=1e-10)
+        # exact-ish on a smooth integrand: int_0^2 x^3 dx = 4, mapped onto (0, 1)
+        assert 2.0 * fc.integrate_unit_interval(lambda y: (2.0 * y) ** 3) == pytest.approx(4.0, rel=1e-10)
 
     def test_unit_interval_endpoint_singularity(self):
         assert fc.integrate_unit_interval(lambda x: x**-0.5) == pytest.approx(2.0, rel=1e-8)
-
-
-class TestCMChecker:
-    def test_negative_power_is_cm(self):
-        f = fc.PowerFunction(-1.0)
-        grid = np.linspace(0.5, 5.0, 10)
-        rep = fc.check_cm_by_differences(f, grid, 4)
-        for order_rep in rep.orders:
-            assert order_rep.max_violation <= 1e-6 * max(order_rep.scale, 1.0)
-            # analytic oracle: d^n/dx^n x^-1 = (-1)^n n! x^-(n+1)
-            exact = np.array(
-                [(-1.0) ** order_rep.order * math.factorial(order_rep.order) * x ** -(order_rep.order + 1) for x in grid]
-            )
-            assert np.allclose(order_rep.estimates, exact, rtol=1e-6)
-
-    def test_increasing_function_violates(self):
-        rep = fc.check_cm_by_differences(fc.PowerFunction(0.5), [1.0, 2.0], 1)
-        assert rep.worst_violation > 0.1
-        assert rep.worst_order == 1
-
-    def test_pure_exponential_clean(self):
-        rep = fc.check_cm_by_differences(fc.DiscreteMeasureCM0((1.0,), (1.0,)), np.linspace(0.2, 3.0, 8), 5)
-        assert rep.worst_violation <= 1e-6 * max(max(o.scale for o in rep.orders), 1.0)
-
-    def test_order_cap(self):
-        with pytest.raises(ValueError):
-            fc.check_cm_by_differences(fc.PowerFunction(-1.0), [1.0], 6)
-
-    def test_grid_validation(self):
-        with pytest.raises(DomainError):
-            fc.check_cm_by_differences(fc.PowerFunction(-1.0), [0.0, 1.0], 2)
+        assert fc.integrate_unit_interval(lambda x: (1.0 - x) ** -0.5) == pytest.approx(2.0, rel=1e-8)
 
 
 class TestScalarGaps:
@@ -200,6 +173,7 @@ class TestScalarGaps:
             a, b = rng.uniform(0, 10, 2)
             ga, gg = fc.scalar_gap_pair(g, a, b)
             assert abs(ga - gg) <= 1e-11 * max(abs(ga), abs(gg), 1.0)
+            assert min(fc.gap_chain_margins("quadratic", ga, gg)) >= -1e-11 * max(abs(ga), abs(gg), 1.0)
 
     def test_equal_arguments_collapse(self):
         # a + b and 2 sqrt(ab) coincide, so both gaps evaluate the same
@@ -238,25 +212,6 @@ class TestScalarGaps:
     def test_margins_reject_unknown_class(self):
         with pytest.raises(ValueError):
             fc.gap_chain_margins("BF3", 0.0, 0.0)
-
-
-class TestGeometricConcavity:
-    def test_equality_on_diagonal(self):
-        assert fc.check_geometric_concavity(3.0, 3.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_example_pair(self):
-        val = fc.check_geometric_concavity(1.0, 4.0)
-        f = lambda u: -math.expm1(-u)
-        assert val == pytest.approx(f(2.0) - math.sqrt(f(1.0) * f(4.0)), rel=1e-12)
-        assert val > 0.07
-
-    def test_near_boundary(self):
-        assert fc.check_geometric_concavity(1e-8, 1.0) >= -1e-12
-
-    @given(st.floats(1e-6, 50.0), st.floats(1e-6, 50.0))
-    @settings(max_examples=300, deadline=None)
-    def test_nonnegative_everywhere(self, x, y):
-        assert fc.check_geometric_concavity(x, y) >= -1e-12
 
 
 class TestShapeLemmas:
@@ -314,7 +269,7 @@ class TestIntegrationChain:
         lower = fc.DiscreteMeasureBFk(k - 1, nodes, weights)
         upper = fc.DiscreteMeasureBFk(k, nodes, weights)
         for x in (0.25, 1.0, 3.0, 7.0):
-            got = fc.integrate_interval(lambda t: float(lower(t)), 0.0, x)
+            got = x * fc.integrate_unit_interval(lambda y: float(lower(x * y)))
             assert got == pytest.approx(float(upper(x)), rel=1e-6)
 
 
@@ -330,8 +285,25 @@ class TestFunctionJson:
         ],
     )
     def test_roundtrip(self, f):
-        back = fc.function_from_json(fc.function_to_json(f))
+        back = fc.function_from_json(f.to_json())
         assert back == f
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"variant": "power", "q": math.inf},
+            {"variant": "exp_kernel", "t": math.nan},
+            {"variant": "exp_kernel", "t": 1.0, "sign": math.nan},
+            {"variant": "quadratic", "c0": 1.0, "c1": -math.inf, "c2": 3.0},
+            {"variant": "cm0_discrete", "nodes": [math.nan, 1.0], "weights": [1.0, 1.0]},
+            {"variant": "cm0_discrete", "nodes": [1.0], "weights": [math.inf]},
+            {"variant": "bfk_discrete", "k": 1, "nodes": [math.inf], "weights": [1.0]},
+            {"variant": "bfk_discrete", "k": math.inf, "nodes": [1.0], "weights": [1.0]},
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, spec):
+        with pytest.raises(ValueError, match="finite"):
+            fc.function_from_json(spec)
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):

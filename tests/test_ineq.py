@@ -216,7 +216,7 @@ class TestCorPmean:
     def test_equal_matrices(self):
         a, _ = psd_pair(3, 12)
         rec = ineq.cor_pmean_gap(a, a, 2.0)
-        assert rec.lhs == pytest.approx(mc.trace_of(a.entries), rel=1e-10)
+        assert rec.lhs == pytest.approx(np.trace(a.entries).real, rel=1e-10)
         assert abs(rec.lhs - rec.rhs) <= 10 * rec.tol
 
     def test_random_pd_pairs_pass(self):
@@ -236,8 +236,8 @@ class TestCorPmean:
             pm = ineq.cor_pmean_gap(a, b, p)
             scale = 2.0 ** (-1.0 / p)
             # abq: lhs' - rhs' >= 0 with lhs' = tr(A^p+B^p)^(1/p) - tr A - tr B
-            lhs_from_abq = scale * (abq.lhs + mc.trace_of(a.entries) + mc.trace_of(b.entries))
-            rhs_from_abq = scale * (abq.rhs + mc.trace_of(a.entries) + mc.trace_of(b.entries))
+            lhs_from_abq = scale * (abq.lhs + np.trace(a.entries).real + np.trace(b.entries).real)
+            rhs_from_abq = scale * (abq.rhs + np.trace(a.entries).real + np.trace(b.entries).real)
             assert pm.lhs == pytest.approx(lhs_from_abq, rel=1e-9)
             assert pm.rhs == pytest.approx(rhs_from_abq, rel=1e-9)
 
@@ -261,7 +261,8 @@ class TestCorFaltq:
 
     def test_q0_equality_on_singular_pair(self):
         for seed in range(5):
-            a, b = mc.random_psd(3, 1, seed + 270), mc.random_psd(3, 2, seed + 280)
+            a = mc.psd_from_rng(np.random.default_rng(seed + 270), 3, 1)
+            b = mc.psd_from_rng(np.random.default_rng(seed + 280), 3, 2)
             assert ineq.cor_faltq_gap(a, b, 0.0).verdict == "PASS"
 
     def test_equal_pd_matrices_equality(self):
@@ -408,7 +409,8 @@ class TestAlt:
     def test_q0_equality_on_singular_pair(self):
         # q = 0 takes the s >= 0 (square root) form, which needs no positivity
         for seed in range(5):
-            a, b = mc.random_psd(3, 1, seed + 850), mc.random_psd(3, 2, seed + 860)
+            a = mc.psd_from_rng(np.random.default_rng(seed + 850), 3, 1)
+            b = mc.psd_from_rng(np.random.default_rng(seed + 860), 3, 2)
             assert ineq.alt_gap(a, b, 0.0).verdict == "PASS"
 
 
@@ -421,7 +423,7 @@ class TestPropQ4:
         assert rec.verdict == "PASS"
 
     def test_zero_summand(self):
-        residual, rec = ineq.prop_q4_check(mc.random_psd(3, 3, 1), np.zeros((3, 3)))
+        residual, rec = ineq.prop_q4_check(mc.psd_from_rng(np.random.default_rng(1), 3, 3), np.zeros((3, 3)))
         assert residual <= 1e-9
         assert rec.lhs == pytest.approx(0.0, abs=1e-12)
         assert rec.rhs == pytest.approx(0.0, abs=1e-12)
@@ -437,7 +439,7 @@ class TestPropQ4:
 
 class TestCorAbq3:
     def test_zero_off_diagonal_block(self):
-        d = mc.random_psd(2, 2, 31)
+        d = mc.psd_from_rng(np.random.default_rng(31), 2, 2)
         d = HermitianMatrix(d.entries + 0.2 * np.eye(2))
         rec = ineq.cor_abq3_gap(np.zeros((2, 2)), d, 1.5)
         assert abs(rec.lhs) <= rec.tol and abs(rec.rhs) <= rec.tol
@@ -487,7 +489,7 @@ class TestCorAbq3:
 
 class TestZSpectrum:
     def test_zero_block(self):
-        d = HermitianMatrix(mc.random_psd(2, 2, 41).entries + 0.3 * np.eye(2))
+        d = HermitianMatrix(mc.psd_from_rng(np.random.default_rng(41), 2, 2).entries + 0.3 * np.eye(2))
         assert ineq.z_spectrum_check(np.zeros((2, 2)), d) <= 1e-9
 
     def test_scalar_blocks(self):
@@ -505,31 +507,31 @@ class TestZSpectrum:
 
 class TestNormCompression:
     def test_zero_c_additivity(self):
-        b = mc.random_psd(2, 2, 51)
-        d = mc.random_psd(2, 2, 52)
+        b = mc.psd_from_rng(np.random.default_rng(51), 2, 2)
+        d = mc.psd_from_rng(np.random.default_rng(52), 2, 2)
         rec = ineq.norm_compression_gap(b, np.zeros((2, 2)), d, 1.7)
-        direct = mc.trace_power(b, 1.7) + mc.trace_power(d, 1.7)
+        direct = np.sum(np.linalg.eigvalsh(b.entries) ** 1.7) + np.sum(np.linalg.eigvalsh(d.entries) ** 1.7)
         assert rec.lhs == pytest.approx(direct, rel=1e-10)
         assert rec.rhs == pytest.approx(direct, rel=1e-10)
 
     def test_all_blocks_equal_psd(self):
-        x = mc.random_psd(2, 2, 53)
+        x = mc.psd_from_rng(np.random.default_rng(53), 2, 2)
         for q in (0.5, 1.3, 2.5):
             rec = ineq.norm_compression_gap(x, x.entries, x, q)
-            expected = 2.0**q * mc.trace_power(x, q)
+            expected = 2.0**q * np.sum(np.linalg.eigvalsh(x.entries) ** q)
             assert rec.lhs == pytest.approx(expected, rel=1e-9)
             assert rec.rhs == pytest.approx(expected, rel=1e-9)
 
     def test_random_partition_direction(self):
         for seed in range(10):
-            whole = mc.random_psd(4, 4, seed + 1300)
-            b, c, d = mc.split_blocks(whole, 2)
+            whole = mc.psd_from_rng(np.random.default_rng(seed + 1300), 4, 4).entries
+            b, c, d = whole[:2, :2], whole[2:, :2], whole[2:, 2:]
             for q in (0.5, 1.5, 2.5):
                 assert ineq.norm_compression_gap(b, c, d, q).verdict == "PASS"
             assert ineq.norm_compression_gap(b, c, d, 4.0).verdict == "CONJECTURE_OBS"
 
     def test_unequal_block_sizes(self):
-        whole = mc.random_psd(5, 5, 1350).entries
+        whole = mc.psd_from_rng(np.random.default_rng(1350), 5, 5).entries
         b, c, d = whole[:2, :2], whole[2:, :2], whole[2:, 2:]
         q = 1.5
         rec = ineq.norm_compression_gap(b, c, d, q)
@@ -549,7 +551,7 @@ class TestNormCompression:
 
 class TestTraceSubadd:
     def test_exponential_with_zero_summand(self):
-        a = mc.random_psd(3, 3, 61)
+        a = mc.psd_from_rng(np.random.default_rng(61), 3, 3)
         g = fc.ExpKernel(1.0, 1)
         rec = ineq.trace_subadd_gap(g, a, np.zeros((3, 3)))
         assert rec.verdict == "PASS"

@@ -9,7 +9,6 @@ import pytest
 from tracelab import matcore as mc
 from tracelab.matcore import (
     DomainError,
-    GeneralMatrix,
     HermitianMatrix,
     ShapeError,
 )
@@ -51,7 +50,7 @@ class TestEigh:
         assert np.allclose(dec.eigenvalues, [-1.0, 1.0])
 
     def test_reconstruction_residual_seed7(self):
-        a = mc.random_psd(6, 6, seed=7)
+        a = mc.psd_from_rng(np.random.default_rng(7), 6, 6)
         dec = mc.eigh(a)
         assert fro(dec.reconstruct() - a.entries) <= 1e-10 * fro(a.entries)
 
@@ -60,7 +59,7 @@ class TestEigh:
         count = 0
         for dim in range(1, 9):
             for k in range(125):
-                a = mc.random_hermitian(dim, seed=1000 * dim + k)
+                a = HermitianMatrix(mc.random_complex_gaussian(np.random.default_rng(1000 * dim + k), dim, dim))
                 dec = mc.eigh(a)
                 scale = max(1.0, fro(a.entries))
                 assert fro(dec.reconstruct() - a.entries) <= 1e-10 * scale
@@ -73,7 +72,7 @@ class TestEigh:
         # independent oracle: characteristic polynomial of a 2x2 Hermitian
         rng = np.random.default_rng(5)
         for _ in range(50):
-            a = mc.random_hermitian(2, seed=int(rng.integers(1 << 30)))
+            a = HermitianMatrix(mc.random_complex_gaussian(np.random.default_rng(int(rng.integers(1 << 30))), 2, 2))
             m = a.entries
             t = m[0, 0].real + m[1, 1].real
             d = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
@@ -84,8 +83,12 @@ class TestEigh:
 
     def test_matches_mpmath(self):
         # independent oracle: mpmath's Hermitian eigensolver at 40 digits
-        cases = [mc.random_hermitian(dim, seed=100 * dim + k) for dim in range(1, 9) for k in range(3)]
-        u = mc.random_unitary(4, seed=12).entries
+        cases = [
+            HermitianMatrix(mc.random_complex_gaussian(np.random.default_rng(100 * dim + k), dim, dim))
+            for dim in range(1, 9)
+            for k in range(3)
+        ]
+        u = mc.unitary_from_rng(np.random.default_rng(12), 4)
         cases.append(HermitianMatrix((u * np.array([1.0, 1.0, 2.0, 3.0])) @ u.conj().T))
         for a in cases:
             got = mc.eigh(a).eigenvalues
@@ -93,6 +96,11 @@ class TestEigh:
                 ref = mpmath.eighe(mpmath.matrix(a.entries.tolist()), eigvals_only=True)
                 ref = np.array([float(x) for x in ref])
             assert np.allclose(got, ref, rtol=0.0, atol=1e-13 * max(1.0, fro(a.entries)))
+
+    def test_one_matrix_is_symmetrized(self):
+        # a single matrix is read as its Hermitian part, as HermitianMatrix does
+        dec = mc.eigh(np.array([[0.0, 2.0], [0.0, 0.0]]))
+        assert np.allclose(dec.eigenvalues, [-1.0, 1.0])
 
     def test_zero_and_scalar_matrices(self):
         dec = mc.eigh(np.zeros((3, 3)))
@@ -102,26 +110,16 @@ class TestEigh:
 
 
 class TestSpectralFunctions:
-    def test_exp_of_zero_matrix_is_identity(self):
-        from tracelab.funclass import ExpKernel
-
-        out = mc.apply_spectral_function(np.zeros((2, 2)), ExpKernel(1.0, 1))
-        assert np.allclose(out.entries, np.eye(2))
-
     def test_sqrt_of_diagonal(self):
-        from tracelab.funclass import PowerFunction
-
-        out = mc.apply_spectral_function(np.diag([1.0, 4.0]), PowerFunction(0.5))
+        out = mc.matrix_power(np.diag([1.0, 4.0]), 0.5)
         assert np.allclose(out.entries, np.diag([1.0, 2.0]))
 
     def test_negative_power_rejects_singular(self):
-        from tracelab.funclass import PowerFunction
-
         with pytest.raises(DomainError):
-            mc.apply_spectral_function(np.diag([1.0, 0.0]), PowerFunction(-1.0))
+            mc.matrix_power(np.diag([1.0, 0.0]), -1.0)
 
     def test_matrix_power_roundtrip(self):
-        a = mc.random_psd(4, 4, seed=2)
+        a = mc.psd_from_rng(np.random.default_rng(2), 4, 4)
         sq = mc.matrix_power(a, 0.5)
         assert fro((sq.entries @ sq.entries) - a.entries) <= 1e-9 * fro(a.entries)
 
@@ -129,12 +127,10 @@ class TestSpectralFunctions:
         # trace of the reconstructed g(A) equals the eigenvalue power sum
         for q in (0.3, 0.5, 1.0, 2.0):
             for seed in range(10):
-                a = mc.random_psd(4, 4, seed=seed)
+                a = mc.psd_from_rng(np.random.default_rng(seed), 4, 4)
                 lam = mc.eigh(a).eigenvalues
                 direct = float(np.sum(np.clip(lam, 0, None) ** q))
-                from tracelab.funclass import PowerFunction
-
-                via_matrix = mc.trace_of(mc.apply_spectral_function(a, PowerFunction(q)).entries)
+                via_matrix = np.trace(mc.matrix_power(a, q).entries).real
                 assert abs(via_matrix - direct) <= 1e-10 * max(1.0, abs(direct))
 
     def test_positivity_floor_scale(self):
@@ -145,10 +141,39 @@ class TestSpectralFunctions:
         assert np.allclose(out.entries, np.diag([1e6, 1.0]))
 
 
-class TestTraceAndProducts:
-    def test_trace_identity(self):
-        assert mc.trace_of(np.eye(3)) == 3.0
+class TestCheckedSpectra:
+    def test_nonneg_tolerates_rounding_fuzz_relative_to_max_abs_or_one(self):
+        # -1e-10 * max(|lambda|, 1) is the largest negativity still read as zero
+        lam, faults = mc.checked_spectra(np.array([[-1e-10, 0.5], [-1.2e-10, 0.5], [-1.9e-10, 2.0]]), "nonneg")
+        assert list(faults) == [1]
+        assert lam[0].tolist() == [0.0, 0.5] and lam[2].tolist() == [0.0, 2.0]
 
+    def test_nonneg_snaps_numerical_zeros(self):
+        # eigenvalues below 1e-12 * lambda_max are rank-deficiency noise
+        lam, faults = mc.checked_spectra(np.array([[0.9e-12, 1.0], [1e-12, 1.0], [1.2e-12, 1.0]]), "nonneg")
+        assert faults == {}
+        assert lam[:, 0].tolist() == [0.0, 1e-12, 1.2e-12]
+
+    def test_rejected_rows_become_ones(self):
+        lam, faults = mc.checked_spectra(np.array([[1e-9, 1.0], [0.5, 1.0]]), "positive")
+        assert list(faults) == [0] and "positivity floor" in faults[0]
+        assert lam.tolist() == [[1.0, 1.0], [0.5, 1.0]]
+
+    def test_positivity_floor_scales_with_lambda_max(self):
+        # the floor is 1e-8 * max(lambda_max, 1), and the floor itself passes
+        lam = np.array([[1e-8, 1.0], [5e-8, 10.0], [5e-9, 0.5], [2e-7, 10.0]])
+        _, faults = mc.checked_spectra(lam, "positive")
+        assert list(faults) == [1, 2]
+
+    def test_real_domain_is_unchecked(self):
+        lam = np.array([[-5.0, 1.0]])
+        out, faults = mc.checked_spectra(lam, "real")
+        assert out is lam and faults == {}
+        with pytest.raises(ValueError):
+            mc.checked_spectra(lam, "complex")
+
+
+class TestTraceAndProducts:
     def test_trace_commutator(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -165,25 +190,6 @@ class TestTraceAndProducts:
             t2 = complex(np.trace(b @ c @ a))
             assert abs(t1 - t2) <= 1e-10 * max(1.0, abs(t1))
 
-    def test_mat_mul_identity(self):
-        a = mc.random_hermitian(3, seed=9)
-        out = mc.mat_mul(a, np.eye(3))
-        assert np.allclose(out.entries, a.entries)
-
-    def test_trace_of_product_commutes_for_hermitian_pair(self):
-        a = mc.random_hermitian(4, seed=31)
-        b = mc.random_hermitian(4, seed=32)
-        t1 = mc.trace_of(mc.mat_mul(a, b))
-        t2 = mc.trace_of(mc.mat_mul(b, a))
-        assert t1 == pytest.approx(t2, rel=1e-10)
-
-    def test_mat_mul_shape_error(self):
-        with pytest.raises(ShapeError):
-            mc.mat_mul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_trace_rejects_lopsided(self):
-        with pytest.raises(ShapeError):
-            mc.trace_of(np.ones((2, 3)))
 
 
 class TestSingularValues:
@@ -198,52 +204,20 @@ class TestSingularValues:
         assert got[2] == pytest.approx(1e-9, rel=1e-5)
 
 
-class TestSchattenNorm:
-    def test_identity_q2(self):
-        assert abs(mc.schatten_norm(np.eye(2), 2.0) - math.sqrt(2.0)) < 1e-12
-
-    def test_diag_q1(self):
-        assert abs(mc.schatten_norm(np.diag([3.0, 4.0]), 1.0) - 7.0) < 1e-12
-
-    def test_nilpotent_block(self):
-        # X^* X = diag(0, 4): singular values {2, 0}, so any q-norm is 2
-        x = np.array([[0.0, 2.0], [0.0, 0.0]])
-        assert abs(mc.schatten_norm(x, 3.0) - 2.0) < 1e-12
-
-    def test_rejects_nonpositive_q(self):
-        with pytest.raises(DomainError):
-            mc.schatten_norm(np.eye(2), 0.0)
-
-    def test_unitary_invariance(self):
-        for seed in range(40):
-            rng = np.random.default_rng(seed)
-            x = mc.random_complex_gaussian(rng, 3, 3)
-            u = mc.unitary_from_rng(rng, 3)
-            v = mc.unitary_from_rng(rng, 3)
-            for q in (0.7, 1.0, 2.0, 3.5):
-                n1 = mc.schatten_norm(x, q)
-                n2 = mc.schatten_norm(u @ x @ v, q)
-                assert abs(n1 - n2) <= 1e-10 * max(1.0, n1)
-
-
 class TestRandomEnsembles:
     def test_random_psd_is_psd(self):
-        a = mc.random_psd(2, 2, seed=1)
+        a = mc.psd_from_rng(np.random.default_rng(1), 2, 2)
         assert mc.eigh(a).eigenvalues[0] >= -1e-12
 
     def test_rank_one_spectrum(self):
-        a = mc.random_psd(4, 1, seed=9)
+        a = mc.psd_from_rng(np.random.default_rng(9), 4, 1)
         lam = mc.eigh(a).eigenvalues
         assert int(np.sum(lam < 1e-10 * lam[-1])) == 3
 
     def test_seed_determinism_bitwise(self):
-        a = mc.random_psd(3, 2, seed=11)
-        b = mc.random_psd(3, 2, seed=11)
+        a = mc.psd_from_rng(np.random.default_rng(11), 3, 2)
+        b = mc.psd_from_rng(np.random.default_rng(11), 3, 2)
         assert np.array_equal(a.entries, b.entries)
-
-    def test_rank_bounds_checked(self):
-        with pytest.raises(ShapeError):
-            mc.random_psd(3, 4, seed=0)
 
     @pytest.mark.parametrize("kind", sorted(mc.ENSEMBLES))
     def test_ensembles_produce_psd(self, kind):
@@ -259,12 +233,26 @@ class TestRandomEnsembles:
         lam = mc.eigh(a).eigenvalues
         assert lam[0] >= -1e-12 and lam[-1] <= 1.0 + 1e-12
 
+    def test_rank_deficient_ranks(self):
+        # rank is uniform on 1..dim-1, and 1 at dim 1
+        ranks = set()
+        for seed in range(60):
+            lam = mc.eigh(mc.random_ensemble("rank_deficient", 4, np.random.default_rng(seed))).eigenvalues
+            ranks.add(int(np.sum(lam > 1e-10 * lam[-1])))
+        assert ranks == {1, 2, 3}
+        assert mc.random_ensemble("rank_deficient", 1, np.random.default_rng(0)).dim == 1
+
+    def test_complex_gaussian_unit_variance(self):
+        z = mc.random_complex_gaussian(np.random.default_rng(3), 200, 100)
+        assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, abs=0.03)
+        assert np.mean(z.real**2) == pytest.approx(0.5, abs=0.02)
+
     def test_unknown_ensemble(self):
         with pytest.raises(ValueError):
             mc.random_ensemble("cauchy", 3, np.random.default_rng(0))
 
     def test_random_unitary_is_unitary(self):
-        u = mc.random_unitary(4, seed=8).entries
+        u = mc.unitary_from_rng(np.random.default_rng(8), 4)
         assert fro(u.conj().T @ u - np.eye(4)) < 1e-12
 
 
@@ -279,9 +267,9 @@ class TestBlocks:
         assert np.allclose(out.entries, np.array([[1.5, 0.5], [0.5, 0.5]]))
 
     def test_split_roundtrip(self):
-        a = mc.random_psd(5, 5, seed=21)
-        b, c, d = mc.split_blocks(a, 2)
-        assert np.allclose(mc.block2x2(b, c, d).entries, a.entries)
+        a = mc.psd_from_rng(np.random.default_rng(21), 5, 5).entries
+        b, c, d = a[:2, :2], a[2:, :2], a[2:, 2:]
+        assert np.allclose(mc.block2x2(b, c, d).entries, a)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -290,9 +278,12 @@ class TestBlocks:
 
 class TestMatrixJson:
     def test_roundtrip_complex(self):
-        a = mc.random_hermitian(3, seed=6)
+        a = HermitianMatrix(mc.random_complex_gaussian(np.random.default_rng(6), 3, 3))
         back = mc.matrix_from_json(mc.matrix_to_json(a))
         assert np.allclose(back.entries, a.entries)
+
+    def test_real_matrix_has_no_im(self):
+        assert mc.matrix_to_json(np.eye(2)) == {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]]}
 
     def test_im_defaults_to_zero(self):
         h = mc.matrix_from_json({"dim": 2, "re": [[1.0, 0.0], [0.0, 2.0]]})
