@@ -204,16 +204,15 @@ def _write_text(out: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _param_grid(config: RunConfig, case: str, default: tuple = (), once: bool = True) -> tuple[float | None, ...]:
+def _param_grid(config: RunConfig, case: str, default: tuple = ()) -> tuple[float | None, ...]:
     """The parameter values a command evaluates `case` at: the values of the
     flag the case entry names (--p falls back to --q), else `default`; a
     usage error when both are empty.  A case with no free parameter (a
-    scalar function, or one fixed exponent) is evaluated at None: once when
-    `once`, else once per flag value (verify)."""
+    scalar function, or one fixed exponent) is evaluated once, at None."""
     entry = ineq.CASES[case]
-    values = (config.p_values if entry.param == "p" else ()) or config.q_values
     if entry.needs_func or entry.fixed_q is not None:
-        return (() if once else values) or (None,)
+        return (None,)
+    values = (config.p_values if entry.param == "p" else ()) or config.q_values
     if not (values or default):
         raise UsageError(f"case {case} needs --q (or --p) values")
     return values or default
@@ -229,7 +228,7 @@ def _verify_plans(case: str, config: RunConfig, case_seed: int) -> list[ex.Sweep
     funcs: tuple = (None,)
     if entry.needs_func:
         funcs = (fc.function_from_json(config.func),) if config.func is not None else entry.funcs
-    grid = _param_grid(config, case, entry.grid, once=False) if funcs == (None,) else (None,)
+    grid = _param_grid(config, case, entry.grid)
     n_cells = max(1, len(grid) * len(config.dims) * len(funcs))
     per_cell = -(-config.trials // n_cells)  # at least config.trials per case
     plans = []
@@ -260,7 +259,7 @@ def _explicit_matrix_records(case: str, config: RunConfig) -> list[ineq.TrialRec
         ex.evaluate_case(
             case, inputs, q=q, func=func, tol_rel=config.tol_rel, seed=-1, ensemble="explicit",
         )
-        for q in _param_grid(config, case, entry.grid, once=False)
+        for q in _param_grid(config, case, entry.grid)
     ]
 
 

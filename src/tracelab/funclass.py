@@ -4,8 +4,7 @@ Implements bare completely monotone functions (tag CM0), bare Bernstein
 functions (BF0) and their k-fold primitives (BF1, BF2, ..., "BF{k}"),
 evaluated pointwise or through their half-line integral representations.
 Also hosts the quadrature machinery backing the power-function
-representations and the scalar gap pair g(a+b)-g(a)-g(b) vs
-g(2*sqrt(ab))-2*g(sqrt(ab)).
+representations.
 """
 
 from __future__ import annotations
@@ -31,12 +30,9 @@ __all__ = [
     "is_subadditive_class",
     "is_superadditive_class",
     "gap_pair_direction",
-    "gap_chain_margins",
-    "scalar_gap_pair",
     "gamma_fn",
     "power_via_quadrature",
     "integrate_unit_interval",
-    "integrate_halfline",
     "function_from_json",
 ]
 
@@ -96,26 +92,6 @@ def gap_pair_direction(tag: str) -> str | None:
     if tag == "quadratic":
         return "eq"
     return None
-
-
-def gap_chain_margins(tag: str, gap_add: float, gap_geo: float) -> tuple[float, ...]:
-    """Margins that must all be nonnegative for the class's two-sided chain.
-
-    CM0: add <= geo <= 0;  BF0: geo <= add <= 0;
-    BF1: 0 <= add <= geo;  BF2: add >= geo >= 0;
-    quadratic: add == geo.
-    """
-    if tag == "CM0":
-        return (gap_geo - gap_add, -gap_geo)
-    if tag == "BF0":
-        return (gap_add - gap_geo, -gap_add)
-    if tag == "BF1":
-        return (gap_geo - gap_add, gap_add)
-    if tag == "BF2":
-        return (gap_add - gap_geo, gap_geo)
-    if tag == "quadratic":
-        return (-abs(gap_add - gap_geo),)
-    raise ValueError(f"no summary chain for class {tag!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -316,42 +292,35 @@ def _finite(value) -> float:
     return x
 
 
+def _integer(value) -> int:
+    x = _finite(value)
+    if x != int(x):
+        raise ValueError(f"function parameters k and sign must be integers, got {x}")
+    return int(x)
+
+
 def function_from_json(obj: dict) -> ScalarFunction:
-    """Parse a function spec; ValueError for an unknown variant or a
-    non-finite number."""
+    """Parse a function spec; ValueError for an unknown variant, a
+    non-finite number or a non-integral k or sign."""
     variant = obj.get("variant")
     if variant == "power":
         return PowerFunction(_finite(obj["q"]))
     if variant == "exp_kernel":
-        return ExpKernel(_finite(obj["t"]), int(_finite(obj.get("sign", 1))))
+        return ExpKernel(_finite(obj["t"]), _integer(obj.get("sign", 1)))
     if variant == "quadratic":
         return Quadratic(_finite(obj["c0"]), _finite(obj["c1"]), _finite(obj["c2"]))
     if variant == "cm0_discrete":
         return DiscreteMeasureCM0(tuple(map(_finite, obj["nodes"])), tuple(map(_finite, obj["weights"])))
     if variant == "bfk_discrete":
         return DiscreteMeasureBFk(
-            int(_finite(obj["k"])), tuple(map(_finite, obj["nodes"])), tuple(map(_finite, obj["weights"]))
+            _integer(obj["k"]), tuple(map(_finite, obj["nodes"])), tuple(map(_finite, obj["weights"]))
         )
     raise ValueError(f"unknown function variant {variant!r}")
 
 
 # ---------------------------------------------------------------------------
-# Scalar inequalities
+# Gamma function
 # ---------------------------------------------------------------------------
-
-
-def scalar_gap_pair(g: ScalarFunction, a: float, b: float) -> tuple[float, float]:
-    """(g(a+b)-g(a)-g(b), g(2 sqrt(ab)) - 2 g(sqrt(ab))).
-
-    How the two compare is a property of g's class: additive gap <= geometric
-    gap for CM0 and BF1, reversed for BF0 and BF2, equal for quadratics.
-    """
-    if a < 0 or b < 0:
-        raise DomainError("a and b must be nonnegative")
-    root = math.sqrt(a * b)
-    gap_add = float(g(a + b)) - float(g(a)) - float(g(b))
-    gap_geo = float(g(2.0 * root)) - 2.0 * float(g(root))
-    return gap_add, gap_geo
 
 
 def gamma_fn(x: float) -> float:
@@ -417,13 +386,6 @@ def integrate_unit_interval(
             return new_value
         value = new_value
     return value
-
-
-def integrate_halfline(f, **kw) -> float:
-    """Integrate f over (0, inf), split at 1 with s -> 1/s on the tail."""
-    head = integrate_unit_interval(f, **kw)
-    tail = integrate_unit_interval(lambda s: f(1.0 / s) / (s * s), **kw)
-    return head + tail
 
 
 def power_via_quadrature(q: float, x: float) -> float:

@@ -8,6 +8,13 @@ gap = rhs - lhs for "<=" cases and lhs - rhs for ">=" cases, so PASS is always
 gap >= -tol.  Parameter regions where only numerical evidence exists never
 emit FAIL; they emit CONJECTURE_OBS with the signed gap.
 
+The power corollaries are the theorem cases at g = x^q: MCCARTHY runs the
+TRACE_SUBADD kernel and COR_ABQ the MAIN_TRACE kernel there, each under its
+own direction rule, so both require PSD inputs at every q.  Every cross term
+trace f(A) h(B) is one projector double sum over the decompositions of A and
+B (_pair_sum); only PROP_Q4's trace (AB)^2, which is no such sum, forms
+matrix products.
+
 A kernel never raises for one trial: a trial outside its domain gets a skip
 reason and the others are evaluated.  The per-case functions (mccarthy_gap,
 ...) evaluate one trial through the same kernel and raise DomainError with
@@ -183,9 +190,19 @@ def _product_trace(tr: _Trials, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return t.real
 
 
-def _overlap(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-    """|<u_i, v_j>|^2 for the eigenvector columns of two decompositions."""
-    return np.abs(va.mT.conj() @ vb) ** 2
+def _pair_sum(w, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """sum_ij w_ij |<u_i, v_j>|^2 over the eigenvector columns u_i of A and
+    v_j of B: trace f(A) h(B) for w_ij = f(a_i) h(b_j), and the theorem's
+    sum_kl w(a_k, b_l) trace A_k B_l for its weights.  Every cross term is
+    summed this way: the overlaps are nonnegative, so same-sign weights sum
+    without cancellation and the sum is real by construction, where forming
+    f(A) and h(B) first loses digits when both are ill conditioned."""
+    return np.sum(w * np.abs(va.mT.conj() @ vb) ** 2, axis=(-2, -1))
+
+
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """w_ij = x_i y_j over stacked rows."""
+    return x[..., :, None] * y[..., None, :]
 
 
 def _gram_singular_values(tr: _Trials, *blocks: np.ndarray) -> list[np.ndarray]:
@@ -240,17 +257,10 @@ def _z_blocks(tr: _Trials, c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np
 # ---------------------------------------------------------------------------
 
 
-def _mccarthy(tr, q, g, a, b):
-    return _trace_power(tr, a + b, q), _trace_power(tr, a, q) + _trace_power(tr, b, q)
-
-
 def _golden_thompson(tr, t, g, a, b):
+    (lam_a, va), (lam_b, vb) = tr.eigh("a", a), tr.eigh("b", b)
     lhs = np.sum(np.exp(-t * np.linalg.eigvalsh(a + b)), axis=-1)
-    ea, eb = (
-        mc.hermitian_part(mc.spectral_matrix(v, np.exp(lam)))
-        for lam, v in (mc.eigh(-t * a), mc.eigh(-t * b))
-    )
-    return lhs, _product_trace(tr, ea, eb)
+    return lhs, _pair_sum(_outer(np.exp(-t * lam_a), np.exp(-t * lam_b)), va, vb)
 
 
 def _main_trace_domain(g: fc.ScalarFunction) -> str:
@@ -267,16 +277,7 @@ def _main_trace(tr, q, g, a, b):
     lam_sum = tr.spectra(np.linalg.eigvalsh(a + b), "positive" if domain == "positive" else g.domain)
     lhs = np.sum(g(lam_sum), axis=-1) - np.sum(g(av), axis=-1) - np.sum(g(bv), axis=-1)
     roots = np.sqrt(av[:, :, None] * bv[:, None, :])
-    weights = g(2.0 * roots) - 2.0 * g(roots)
-    return lhs, np.sum(weights * _overlap(va, vb), axis=(-2, -1))
-
-
-def _cor_abq(tr, q, g, a, b):
-    (lam_a, va), (lam_b, vb) = tr.eigh("a", a), tr.eigh("b", b)
-    lhs = _sum_power_lhs(tr, a, b, lam_a, lam_b, q)
-    ahalf = mc.spectral_matrix(va, tr.power(lam_a, q / 2.0))
-    bhalf = mc.spectral_matrix(vb, tr.power(lam_b, q / 2.0))
-    return lhs, (2.0**q - 2.0) * _product_trace(tr, ahalf, bhalf)
+    return lhs, _pair_sum(g(2.0 * roots) - 2.0 * g(roots), va, vb)
 
 
 def _cor_pmean(tr, p, g, a, b):
@@ -284,9 +285,7 @@ def _cor_pmean(tr, p, g, a, b):
     ap, bp = mc.spectral_matrix(va, tr.power(lam_a, p)), mc.spectral_matrix(vb, tr.power(lam_b, p))
     lhs = _trace_power(tr, mc.hermitian_part(0.5 * (ap + bp)), 1.0 / p)
     coeff = 2.0 ** (1.0 - 1.0 / p)
-    cross = _product_trace(
-        tr, mc.spectral_matrix(va, tr.power(lam_a, 0.5)), mc.spectral_matrix(vb, tr.power(lam_b, 0.5))
-    )
+    cross = _pair_sum(_outer(tr.power(lam_a, 0.5), tr.power(lam_b, 0.5)), va, vb)
     traces = np.trace(a, axis1=-2, axis2=-1).real + np.trace(b, axis1=-2, axis2=-1).real
     return lhs, coeff * 0.5 * traces + (1.0 - coeff) * cross
 
@@ -298,13 +297,9 @@ def _cor_faltq(tr, q, g, a, b):
 
 
 def _alt(tr, q, g, a, b):
-    # trace A^p B^p = sum_ij a_i^p b_j^p |<u_i, v_j>|^2: the terms are
-    # nonnegative, so the sum has no cancellation; forming A^p and B^p first
-    # loses digits when both are ill conditioned (p < 0).
     (lam_a, va), (lam_b, vb) = tr.eigh("a", a), tr.eigh("b", b)
     p = q / 2.0
-    av, bv = tr.power(lam_a, p), tr.power(lam_b, p)
-    lhs = (av[:, None, :] @ _overlap(va, vb) @ bv[:, :, None])[:, 0, 0]
+    lhs = _pair_sum(_outer(tr.power(lam_a, p), tr.power(lam_b, p)), va, vb)
     return lhs, _sandwich_trace_power(tr, lam_a, va, lam_b, vb, p)
 
 
@@ -572,10 +567,20 @@ class Case:
             return False
 
 
+def _at_power(kernel: Callable) -> Callable:
+    """A theorem kernel evaluated at g = x^q: McCarthy's inequality is trace
+    sub/superadditivity there, COR_ABQ the main trace inequality."""
+
+    def power_kernel(tr, q, g, *inputs):
+        return kernel(tr, q, fc.PowerFunction(q), *inputs)
+
+    return power_kernel
+
+
 # Verify grids cover the verdict regions: conjecture regions are probe-only,
 # and COR_ABQ beyond q=3 is repro-only.
 CASES = {
-    "MCCARTHY": Case(PAIR, _dir_mccarthy, _mccarthy, grid=(0.5, 1.0, 2.0)),
+    "MCCARTHY": Case(PAIR, _dir_mccarthy, _at_power(_trace_subadd), grid=(0.5, 1.0, 2.0)),
     "GOLDEN_THOMPSON": Case(PAIR, _dir_golden_thompson, _golden_thompson, grid=(0.0, 0.5, 1.0, 2.0)),
     "MAIN_TRACE": Case(
         PAIR, _dir_main_trace, _main_trace, needs_func=True, input_domain=_main_trace_domain,
@@ -591,7 +596,7 @@ CASES = {
             fc.Quadratic(1.0, -2.0, 3.0),
         ),
     ),
-    "COR_ABQ": Case(PAIR, _dir_cor_abq, _cor_abq, grid=(-1.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)),
+    "COR_ABQ": Case(PAIR, _dir_cor_abq, _at_power(_main_trace), grid=(-1.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)),
     "COR_PMEAN": Case(PAIR, _dir_cor_pmean, _cor_pmean, grid=(1.0, 2.0, 3.0), param="p"),
     "COR_FALTQ": Case(
         PAIR, _dir_cor_faltq, _cor_faltq, grid=(-3.0, -2.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
@@ -804,7 +809,7 @@ def trace_subadd_gap(g: fc.ScalarFunction, a, b, **meta) -> TrialRecord:
 
 def projector_overlap_total(a, b) -> float:
     """sum_{k,l} tr A_k B_l over the rank-one eigenprojector pairs (= dim)."""
-    return float(np.sum(_overlap(mc.eigh(a).eigenvectors, mc.eigh(b).eigenvectors)))
+    return float(_pair_sum(1.0, mc.eigh(a).eigenvectors, mc.eigh(b).eigenvectors))
 
 
 def _z_block(c, d) -> tuple[HermitianMatrix, HermitianMatrix, HermitianMatrix]:

@@ -117,21 +117,6 @@ class SpectralDecomposition(NamedTuple):
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        return spectral_matrix(self.eigenvectors, self.eigenvalues)
-
-    def orthonormality_residual(self) -> float:
-        v = self.eigenvectors
-        return _fro(v.conj().T @ v - np.eye(self.dim))
-
-
-def _fro(m: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.abs(m) ** 2)))
-
 
 def eigh(a) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix, or of each matrix of a

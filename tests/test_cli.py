@@ -113,6 +113,25 @@ class TestVerify:
         assert rec.verdict == "FAIL"
         assert rec.lhs == pytest.approx(6.5, rel=1e-10)
 
+    def test_parameterless_cases_run_once(self, tmp_path, capsys):
+        # MAIN_TRACE (a scalar function) and PROP_Q4 (fixed at q = 4) take no --q
+        config = {
+            "matrix_a": {"dim": 2, "re": [[2.0, 1.0], [1.0, 1.0]]},
+            "matrix_b": {"dim": 2, "re": [[1.0, 0.0], [0.0, 3.0]]},
+            "case": "MAIN_TRACE,PROP_Q4",
+            "q": [1, 2, 3],
+            "func": {"variant": "power", "q": 0.5},
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(["verify", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert [json.loads(line)["case"] for line in out.splitlines()] == ["MAIN_TRACE", "PROP_Q4"]
+        assert "verify: 2 records" in err
+        code, out, err = run(["verify", "--case", "PROP_Q4", "--q", "2,3", "--dim", "2", "--trials", "3"], capsys)
+        assert code == 0
+        assert "verify: 3 records" in err  # one cell, not one per --q value
+
     def test_matrix_file_indirection(self, tmp_path, capsys):
         mat = tmp_path / "a.json"
         mat.write_text(json.dumps(mc.matrix_to_json(np.eye(2))))
@@ -354,6 +373,21 @@ class TestConfigHandling:
         code, out, err = run(["sweep", "--case", "MAIN_TRACE", "--dim", "2", "--trials", "3", "--config", str(cfg)], capsys)
         assert code == 2
         assert "finite" in err and out == ""
+
+    @pytest.mark.parametrize(
+        "func",
+        [
+            {"variant": "bfk_discrete", "k": 2.7, "nodes": [1.0], "weights": [1.0]},
+            {"variant": "exp_kernel", "t": 1.0, "sign": -1.9},
+        ],
+    )
+    def test_non_integral_func_spec_is_usage_error(self, func, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"func": func}))
+        for argv in (["sweep", "--dim", "2", "--trials", "3"], ["verify", "--dim", "2", "--trials", "3"]):
+            code, out, err = run(argv + ["--case", "TRACE_SUBADD", "--config", str(cfg)], capsys)
+            assert code == 2
+            assert "integer" in err and out == ""
 
     @pytest.mark.parametrize("flag", ["--q", "--p"])
     @pytest.mark.parametrize("value", ["inf", "nan"])

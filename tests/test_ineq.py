@@ -207,6 +207,20 @@ class TestCorAbq:
             ineq.cor_abq_gap(CX_A, CX_B, -1.0)
 
 
+class TestPsdDomain:
+    # the power corollaries are stated for PSD A, B at every q (whether or
+    # not q/2 is an integer); Golden-Thompson holds for any Hermitian pair
+    A = np.diag([1.0, -0.5])
+    B = np.array([[2.0, 1.0], [1.0, 1.0]])
+
+    @pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
+    def test_non_psd_pair_is_outside_the_power_corollaries(self, q):
+        for gap in (ineq.cor_abq_gap, ineq.mccarthy_gap):
+            with pytest.raises(DomainError, match="not PSD"):
+                gap(self.A, self.B, q)
+        assert ineq.golden_thompson_gap(self.A, self.B, q).verdict == "PASS"
+
+
 class TestCorPmean:
     def test_p_one_collapses(self):
         a, b = psd_pair(3, 11)
@@ -220,9 +234,12 @@ class TestCorPmean:
         assert abs(rec.lhs - rec.rhs) <= 10 * rec.tol
 
     def test_random_pd_pairs_pass(self):
+        # p = 1 is the only equality exponent: elsewhere the bound is strict
         for seed in range(10):
             a, b = pd_pair(3, seed + 400)
-            assert ineq.cor_pmean_gap(a, b, 2.0).verdict == "PASS"
+            for p in (1.5, 2.0):
+                rec = ineq.cor_pmean_gap(a, b, p)
+                assert rec.verdict == "PASS" and rec.gap > rec.tol
 
     def test_cross_check_against_cor_abq_substitution(self):
         # substituting A -> A^(1/q), B -> B^(1/q), q = 1/p reproduces the
@@ -545,8 +562,9 @@ class TestNormCompression:
             ineq.norm_compression_gap(np.eye(1), np.array([[5.0]]), np.eye(1), 1.5)
 
     def test_rejects_nonpositive_q(self):
-        with pytest.raises(DomainError):
-            ineq.norm_compression_gap(np.eye(1), np.zeros((1, 1)), np.eye(1), -1.0)
+        for q in (-1.0, 0.0):
+            with pytest.raises(DomainError):
+                ineq.norm_compression_gap(np.eye(1), np.zeros((1, 1)), np.eye(1), q)
 
 
 class TestTraceSubadd:
