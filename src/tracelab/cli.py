@@ -100,7 +100,7 @@ def _load_config_file(path: str) -> dict:
     return obj
 
 
-def _load_matrix(spec) -> mc.HermitianMatrix:
+def _load_matrix(spec):
     if isinstance(spec, str):
         try:
             with open(spec, "r", encoding="utf-8") as fh:
@@ -256,7 +256,7 @@ def _explicit_matrix_records(case: str, config: RunConfig) -> list[ineq.TrialRec
     inputs = {k: config.matrices[f"matrix_{k}"] for k in entry.kind.keys}
     func = _parse_func(config, case) if entry.needs_func else None
     return [
-        ex.evaluate_case(
+        ineq.evaluate_one(
             case, inputs, q=q, func=func, tol_rel=config.tol_rel, seed=-1, ensemble="explicit",
         )
         for q in _param_grid(config, case, entry.grid)

@@ -16,7 +16,7 @@ from . import funclass as fc
 from . import ineq
 from . import matcore as mc
 from .ineq import DEFAULT_TOL_REL, TrialRecord
-from .matcore import DomainError, HermitianMatrix
+from .matcore import DomainError
 
 __all__ = [
     "SweepPlan",
@@ -186,8 +186,8 @@ def draw_inputs(case: str, dim: int, ensemble: str, rng: np.random.Generator) ->
     return dict(zip(kind.keys, kind.draw(rng, ensemble, dim)))
 
 
-# Evaluate one catalog case on explicit inputs {key: matrix}; raises
-# DomainError where a sweep would skip the trial.
+# Evaluate one catalog case on explicit inputs {key: matrix}; a trial a sweep
+# would skip gives a SKIPPED record.
 evaluate_case = ineq.evaluate_one
 
 
@@ -248,8 +248,10 @@ def _summarize_cell(plan: SweepPlan, q, dim, records) -> CellSummary:
 # Explicit counterexample reproduction
 # ---------------------------------------------------------------------------
 
-COUNTEREXAMPLE_A = HermitianMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-COUNTEREXAMPLE_B = HermitianMatrix(0.5 * np.array([[1.0, 1.0], [1.0, 1.0]]))
+COUNTEREXAMPLE_A = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
+COUNTEREXAMPLE_B = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=np.complex128)
+COUNTEREXAMPLE_A.setflags(write=False)
+COUNTEREXAMPLE_B.setflags(write=False)
 
 
 def repro_closed_forms(q: float) -> tuple[float, float]:
@@ -262,8 +264,8 @@ def repro_closed_forms(q: float) -> tuple[float, float]:
 def repro_counterexample(q: float, tol_rel: float = DEFAULT_TOL_REL) -> TrialRecord:
     """Evaluate COR_ABQ on the explicit pair A = diag(1, 0),
     B = [[1,1],[1,1]]/2; for q > 3 the stated sense fails (FAIL verdict)."""
-    return ineq.cor_abq_gap(
-        COUNTEREXAMPLE_A, COUNTEREXAMPLE_B, q,
+    return ineq.evaluate_one(
+        "COR_ABQ", {"a": COUNTEREXAMPLE_A, "b": COUNTEREXAMPLE_B}, q,
         tol_rel=tol_rel, seed=0, ensemble="explicit_pair",
     )
 

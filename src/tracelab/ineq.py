@@ -16,9 +16,11 @@ B (_pair_sum); only PROP_Q4's trace (AB)^2, which is no such sum, forms
 matrix products.
 
 A kernel never raises for one trial: a trial outside its domain gets a skip
-reason and the others are evaluated.  The per-case functions (mccarthy_gap,
-...) evaluate one trial through the same kernel and raise DomainError with
-that reason instead.
+reason and the others are evaluated.  evaluate_one is the one-trial entry for
+matrices from outside the program: it symmetrises every input but the general
+block C, and returns the trial's record, SKIPPED with the kernel's reason
+when the trial is outside the domain, as a sweep does.  Each case's
+statement is the comment on its CASES entry.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import funclass as fc
 from . import matcore as mc
-from .matcore import DomainError, HermitianMatrix
+from .matcore import DomainError
 
 __all__ = [
     "DEFAULT_TOL_REL",
@@ -46,25 +48,11 @@ __all__ = [
     "evaluate_one",
     "singular_inputs_ok",
     "oriented_gap",
-    "mccarthy_gap",
-    "golden_thompson_gap",
-    "main_trace_ineq",
-    "cor_abq_gap",
-    "cor_pmean_gap",
-    "cor_faltq_gap",
-    "alt_gap",
-    "prop_q4_check",
-    "cor_abq3_gap",
     "z_spectrum_check",
-    "norm_compression_gap",
-    "trace_subadd_gap",
     "projector_overlap_total",
 ]
 
 DEFAULT_TOL_REL = 1e-9
-
-# Imaginary parts of product traces are asserted below this (relative).
-PRODUCT_TRACE_IMAG_TOL = 1e-10
 
 # PROP_Q4 skips a trial whose expansion identity misses by more than this
 # (relative to max(|lhs|, |rhs|, 1)).
@@ -179,15 +167,11 @@ def _trace_power(tr: _Trials, m: np.ndarray, q: float) -> np.ndarray:
     return np.sum(tr.power(np.linalg.eigvalsh(m), q), axis=-1)
 
 
-def _product_trace(tr: _Trials, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """trace(X Y) asserted real up to rounding (the product itself need not
-    be Hermitian; the trace is, for the expressions used here)."""
-    t = np.sum(x * y.mT, axis=(-2, -1))
-    fro = np.sqrt(np.sum(np.abs(x) ** 2, axis=(-2, -1)) * np.sum(np.abs(y) ** 2, axis=(-2, -1)))
-    scale = np.maximum(np.maximum(np.abs(t), fro), 1.0)
-    bad = np.flatnonzero(np.abs(t.imag) > PRODUCT_TRACE_IMAG_TOL * scale)
-    tr.flag({i: f"product trace unexpectedly complex: {complex(t[i])!r}" for i in bad.tolist()})
-    return t.real
+def _product_trace(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re trace(X Y).  The products PROP_Q4 takes traces of are words in
+    Hermitian A and B whose traces are real, so the imaginary part is
+    rounding."""
+    return np.sum(x * y.mT, axis=(-2, -1)).real
 
 
 def _pair_sum(w, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
@@ -305,11 +289,9 @@ def _alt(tr, q, g, a, b):
 
 def _prop_q4(tr, q, g, a, b):
     a2, b2, ab = a @ a, b @ b, a @ b
-    t_abab = _product_trace(tr, ab, ab)
-    expansion = 4.0 * (
-        _product_trace(tr, a2 @ a, b) + _product_trace(tr, a2, b2) + _product_trace(tr, a, b2 @ b)
-    ) + 2.0 * t_abab
-    lhs = _sum_power_lhs(tr, a, b, np.linalg.eigvalsh(a), np.linalg.eigvalsh(b), 4.0)
+    t_abab = _product_trace(ab, ab)
+    expansion = 4.0 * (_product_trace(a2 @ a, b) + _product_trace(a2, b2) + _product_trace(a, b2 @ b)) + 2.0 * t_abab
+    lhs = _sum_power_lhs(tr, a, b, np.linalg.eigvalsh(a), np.linalg.eigvalsh(b), q)
     rhs = 12.0 * t_abab
     tr.residual = residual = np.abs(lhs - expansion)
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
@@ -445,17 +427,17 @@ def _cmat(params: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def _draw_pair(rng, ensemble, dim):
-    return mc.random_ensemble(ensemble, dim, rng).entries, mc.random_ensemble(ensemble, dim, rng).entries
+    return mc.random_ensemble(ensemble, dim, rng), mc.random_ensemble(ensemble, dim, rng)
 
 
 def _draw_blocks(rng, ensemble, dim):
-    w = mc.random_ensemble(ensemble, 2 * dim, rng).entries
+    w = mc.random_ensemble(ensemble, 2 * dim, rng)
     return w[:dim, :dim], w[dim:, :dim], w[dim:, dim:]
 
 
 def _draw_cd(rng, ensemble, dim):
     c = mc.random_complex_gaussian(rng, dim, dim)
-    return c, mc.random_ensemble(ensemble, dim, rng).entries
+    return c, mc.random_ensemble(ensemble, dim, rng)
 
 
 def _whole(m: np.ndarray, dim: int) -> tuple:
@@ -578,10 +560,15 @@ def _at_power(kernel: Callable) -> Callable:
 
 
 # Verify grids cover the verdict regions: conjecture regions are probe-only,
-# and COR_ABQ beyond q=3 is repro-only.
+# and COR_ABQ beyond q=3 is repro-only.  The comment on each entry states its
+# inequality.
 CASES = {
+    # trace(A+B)^q vs trace A^q + trace B^q (sub/superadditive by region)
     "MCCARTHY": Case(PAIR, _dir_mccarthy, _at_power(_trace_subadd), grid=(0.5, 1.0, 2.0)),
+    # trace exp(-(A+B)t) <= trace exp(-At) exp(-Bt) for Hermitian A, B
     "GOLDEN_THOMPSON": Case(PAIR, _dir_golden_thompson, _golden_thompson, grid=(0.0, 0.5, 1.0, 2.0)),
+    # trace(g(A+B) - g(A) - g(B)) vs the projector double sum
+    # sum_kl (g(2 sqrt(a_k b_l)) - 2 g(sqrt(a_k b_l))) |<v_k, w_l>|^2
     "MAIN_TRACE": Case(
         PAIR, _dir_main_trace, _main_trace, needs_func=True, input_domain=_main_trace_domain,
         funcs=(
@@ -596,19 +583,33 @@ CASES = {
             fc.Quadratic(1.0, -2.0, 3.0),
         ),
     ),
+    # trace(A+B)^q - trace A^q - trace B^q vs (2^q - 2) trace A^{q/2} B^{q/2}
     "COR_ABQ": Case(PAIR, _dir_cor_abq, _at_power(_main_trace), grid=(-1.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)),
+    # power means: trace((A^p + B^p)/2)^{1/p} vs
+    # 2^{1-1/p} (trace A + trace B)/2 + (1 - 2^{1-1/p}) trace A^{1/2} B^{1/2}
     "COR_PMEAN": Case(PAIR, _dir_cor_pmean, _cor_pmean, grid=(1.0, 2.0, 3.0), param="p"),
+    # as COR_ABQ, with (2^q - 2) trace (A^{1/2} B A^{1/2})^{q/2} on the right
     "COR_FALTQ": Case(
         PAIR, _dir_cor_faltq, _cor_faltq, grid=(-3.0, -2.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
         probes={"FALTQ_HIGH": (3.5, 4.0, 6.0), "FALTQ_NEG": (-1.0,)},
     ),
+    # Araki-Lieb-Thirring: trace A^{q/2} B^{q/2} vs trace (A^{1/2} B A^{1/2})^{q/2}
     "ALT": Case(PAIR, _dir_alt, _alt, grid=(-3.0, -1.0, 0.5, 1.5, 2.0, 3.0)),
+    # trace(A+B)^4 - trace A^4 - trace B^4 >= 12 trace (AB)^2; the left side
+    # equals 4 trace(A^3 B + A^2 B^2 + A B^3) + 2 trace (AB)^2, and a trial
+    # that misses this identity by more than PROP_Q4_RESIDUAL_REL is skipped
     "PROP_Q4": Case(PAIR, _dir_prop_q4, _prop_q4, fixed_q=4.0),
+    # block form: trace Z^q - trace X^q - trace D^q vs (2^q - 2) trace |C|^q
+    # for Z = [[X, C^*], [C, D]], X = C^* D^{-1} C and D > 0
     "COR_ABQ3": Case(CD, _dir_cor_abq3, _cor_abq3, grid=(-2.5, 0.5, 1.5, 2.5)),
+    # trace A^q vs (2^q - 2) gamma^q + beta^q + delta^q for PSD
+    # A = [[B, C^*], [C, D]], beta, gamma, delta the Schatten q-norms of B, C, D
     "NORM_COMPRESSION": Case(
         BLOCKS, _dir_norm_compression, _norm_compression, grid=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
         probes={"NORMCOMP_HIGH": (4.0,)},
     ),
+    # trace g(A+B) vs trace g(A) + trace g(B): subadditive for CM0 and BF0,
+    # superadditive for the primitive classes BFk, k >= 1
     "TRACE_SUBADD": Case(
         PAIR, _dir_trace_subadd, _trace_subadd, needs_func=True, input_domain=_trace_subadd_domain,
         funcs=(
@@ -718,93 +719,28 @@ def evaluate(
 
 
 def _stack_one(inputs: dict) -> dict:
-    return {k: (mc._coerce(v) if k == "c" else mc.as_hermitian(v).entries)[None] for k, v in inputs.items()}
-
-
-def _evaluate_single(case, inputs, q, func, tol_rel) -> Batch:
-    batch = evaluate(case, _stack_one(inputs), q, func, tol_rel)
-    if batch.reasons[0]:
-        raise DomainError(batch.reasons[0])
-    return batch
+    """One trial's matrices as stacks of one, each input but the general
+    block c symmetrised."""
+    out = {}
+    for k, v in inputs.items():
+        m = np.asarray(v, dtype=np.complex128)
+        out[k] = (m if k == "c" else mc.hermitian_part(m))[None]
+    return out
 
 
 def evaluate_one(
     case: str, inputs: dict, q: float | None = None, func: fc.ScalarFunction | None = None,
     *, tol_rel: float = DEFAULT_TOL_REL, seed: int = -1, ensemble: str = "direct",
 ) -> TrialRecord:
-    """Evaluate `case` on one trial's matrices {key: matrix}; raises
-    DomainError with the reason a batch would skip the trial for."""
-    return _evaluate_single(case, inputs, q, func, tol_rel).records([seed], ensemble)[0]
+    """Evaluate `case` on one trial's matrices {key: matrix}, as given from
+    outside the program (see _stack_one).  A trial outside the case's domain
+    gives a SKIPPED record with the reason, as in a sweep."""
+    return evaluate(case, _stack_one(inputs), q, func, tol_rel).records([seed], ensemble)[0]
 
 
 # ---------------------------------------------------------------------------
-# One-trial operations
+# Structural checks
 # ---------------------------------------------------------------------------
-
-
-def mccarthy_gap(a, b, q: float, **meta) -> TrialRecord:
-    """trace(A+B)^q vs trace A^q + trace B^q (sub/superadditive by region)."""
-    return evaluate_one("MCCARTHY", {"a": a, "b": b}, q, **meta)
-
-
-def golden_thompson_gap(a, b, t: float, **meta) -> TrialRecord:
-    """trace exp(-(A+B)t) <= trace exp(-At) exp(-Bt) for Hermitian A, B."""
-    return evaluate_one("GOLDEN_THOMPSON", {"a": a, "b": b}, t, **meta)
-
-
-def main_trace_ineq(g: fc.ScalarFunction, a, b, **meta) -> TrialRecord:
-    """trace(g(A+B)-g(A)-g(B)) vs the projector double sum
-    sum_{k,l} (g(2 sqrt(a_k b_l)) - 2 g(sqrt(a_k b_l))) |<v_k, w_l>|^2."""
-    return evaluate_one("MAIN_TRACE", {"a": a, "b": b}, func=g, **meta)
-
-
-def cor_abq_gap(a, b, q: float, **meta) -> TrialRecord:
-    """trace(A+B)^q - trace A^q - trace B^q vs (2^q - 2) trace A^{q/2} B^{q/2}."""
-    return evaluate_one("COR_ABQ", {"a": a, "b": b}, q, **meta)
-
-
-def cor_pmean_gap(a, b, p: float, **meta) -> TrialRecord:
-    """Power-means form: trace((A^p+B^p)/2)^{1/p} vs the mixed lower bound."""
-    return evaluate_one("COR_PMEAN", {"a": a, "b": b}, p, **meta)
-
-
-def cor_faltq_gap(a, b, q: float, **meta) -> TrialRecord:
-    """As cor_abq_gap with trace(A^{1/2} B A^{1/2})^{q/2} on the right."""
-    return evaluate_one("COR_FALTQ", {"a": a, "b": b}, q, **meta)
-
-
-def alt_gap(a, b, q: float, **meta) -> TrialRecord:
-    """Araki-Lieb-Thirring comparison:
-    trace A^{q/2} B^{q/2} vs trace (A^{1/2} B A^{1/2})^{q/2}."""
-    return evaluate_one("ALT", {"a": a, "b": b}, q, **meta)
-
-
-def prop_q4_check(a, b, *, tol_rel: float = DEFAULT_TOL_REL, seed: int = -1, ensemble: str = "direct"):
-    """The q=4 expansion: trace(A+B)^4 - trace A^4 - trace B^4 equals
-    4 trace(A^3 B + A^2 B^2 + A B^3) + 2 trace (AB)^2 (an identity), and is
-    bounded below by 12 trace (AB)^2.  Returns (identity residual, record);
-    raises DomainError when the residual exceeds PROP_Q4_RESIDUAL_REL."""
-    batch = _evaluate_single("PROP_Q4", {"a": a, "b": b}, None, None, tol_rel)
-    return float(batch.residual[0]), batch.records([seed], ensemble)[0]
-
-
-def cor_abq3_gap(c, d, q: float, **meta) -> TrialRecord:
-    """Block form: trace Z^q - trace(C^* D^{-1} C)^q - trace D^q vs
-    (2^q - 2) trace |C|^q, Z the assembled partitioned matrix."""
-    return evaluate_one("COR_ABQ3", {"c": c, "d": d}, q, **meta)
-
-
-def norm_compression_gap(b, c, d, q: float, **meta) -> TrialRecord:
-    """trace A^q vs (2^q - 2) gamma^q + beta^q + delta^q for the partitioned
-    PSD matrix A = [[B, C^*], [C, D]] with block Schatten norms beta, gamma,
-    delta."""
-    return evaluate_one("NORM_COMPRESSION", {"b": b, "c": c, "d": d}, q, **meta)
-
-
-def trace_subadd_gap(g: fc.ScalarFunction, a, b, **meta) -> TrialRecord:
-    """trace g(A+B) vs trace g(A) + trace g(B): subadditive for CM0 and BF0,
-    superadditive for the primitive classes BFk, k >= 1."""
-    return evaluate_one("TRACE_SUBADD", {"a": a, "b": b}, func=g, **meta)
 
 
 def projector_overlap_total(a, b) -> float:
@@ -812,21 +748,22 @@ def projector_overlap_total(a, b) -> float:
     return float(_pair_sum(1.0, mc.eigh(a).eigenvectors, mc.eigh(b).eigenvectors))
 
 
-def _z_block(c, d) -> tuple[HermitianMatrix, HermitianMatrix, HermitianMatrix]:
-    """(Z, X, D) of cor_abq3_gap for one block pair; raises unless D > 0."""
+def _z_block(c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Z, X, D) of COR_ABQ3 for one block pair; raises DomainError unless
+    D > 0."""
     tr, x = _Trials(1), _stack_one({"c": c, "d": d})
     z, xm = _z_blocks(tr, x["c"], x["d"])
     if tr.reasons[0]:
         raise DomainError(tr.reasons[0])
-    return HermitianMatrix(z[0]), HermitianMatrix(xm[0]), HermitianMatrix(x["d"][0])
+    return z[0], xm[0], x["d"][0]
 
 
 def z_spectrum_check(c, d) -> float:
     """Hausdorff distance between the nonzero spectra of A+B (with
     A = D^{-1/2} C C^* D^{-1/2}, B = D) and of the block matrix Z."""
     z, _, dh = _z_block(c, d)
-    ch, dinv_half = mc._coerce(c), mc.matrix_power(dh, -0.5).entries
-    lam_ab = mc.eigh(dinv_half @ ch @ ch.conj().T @ dinv_half + dh.entries).eigenvalues
-    lam_z = mc.eigh(z).eigenvalues[-dh.dim:]
+    ch, dinv_half = np.asarray(c, dtype=np.complex128), mc.matrix_power(dh, -0.5)
+    lam_ab = mc.eigh(mc.hermitian_part(dinv_half @ ch @ ch.conj().T @ dinv_half + dh)).eigenvalues
+    lam_z = mc.eigh(z).eigenvalues[-len(dh):]
     diff = np.abs(lam_ab[:, None] - lam_z[None, :])
     return float(max(diff.min(axis=0).max(), diff.min(axis=1).max()))

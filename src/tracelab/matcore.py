@@ -1,8 +1,11 @@
 """Dense Hermitian linear-algebra kernel.
 
-Construction, spectral decomposition (LAPACK through numpy.linalg.eigh),
-matrix powers, singular values (numpy.linalg.svd), domain checks of spectra,
-2x2 block assembly and seeded random PSD ensembles.
+A matrix is a complex ndarray; there is no matrix class.  A Hermitian input
+is symmetrised (hermitian_part) once, where it enters the program: a random
+draw here, a one-trial evaluation in ineq.  Spectral decomposition (LAPACK
+through numpy.linalg.eigh), matrix powers, singular values
+(numpy.linalg.svd), domain checks of spectra, 2x2 block assembly, seeded
+random PSD ensembles and the matrix file format.
 Everything is a pure function of its inputs; random generation is always
 seed-parameterized, never global.  Results are bit-for-bit repeatable within
 one numpy/LAPACK build and BLAS thread setting.
@@ -13,8 +16,6 @@ result does not depend on the stack it sits in.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -23,7 +24,6 @@ __all__ = [
     "MatcoreError",
     "ShapeError",
     "DomainError",
-    "HermitianMatrix",
     "SpectralDecomposition",
     "eigh",
     "hermitian_part",
@@ -35,8 +35,6 @@ __all__ = [
     "random_complex_gaussian",
     "random_ensemble",
     "ENSEMBLES",
-    "block2x2",
-    "matrix_to_json",
     "matrix_from_json",
 ]
 
@@ -65,41 +63,6 @@ class DomainError(MatcoreError):
     """An eigenvalue (or parameter) falls outside a function's domain."""
 
 
-def _as_square_complex(entries) -> np.ndarray:
-    m = np.asarray(entries, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 1:
-        raise ShapeError("dimension must be at least 1")
-    return m
-
-
-@dataclass(frozen=True)
-class HermitianMatrix:
-    """Dense complex Hermitian matrix; construction symmetrizes the input."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = hermitian_part(_as_square_complex(self.entries))
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-def _coerce(a) -> np.ndarray:
-    if isinstance(a, HermitianMatrix):
-        return a.entries
-    return np.asarray(a, dtype=np.complex128)
-
-
-def as_hermitian(a) -> HermitianMatrix:
-    return a if isinstance(a, HermitianMatrix) else HermitianMatrix(_coerce(a))
-
-
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """(M + M^*) / 2 over the last two axes; exactly Hermitian, and the
     identity on an exactly Hermitian M."""
@@ -120,15 +83,14 @@ class SpectralDecomposition(NamedTuple):
 
 def eigh(a) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix, or of each matrix of a
-    stack (an array with leading axes, used as given), by LAPACK
-    (numpy.linalg.eigh).
+    stack (leading axes), by LAPACK (numpy.linalg.eigh); the matrix is used
+    as given, and only its lower triangle is read.
 
     Eigenvalues are returned ascending with orthonormal eigenvector columns;
     both arrays are read-only.  Degenerate eigenvalues yield multiple rank-one
     terms; no clustering is attempted.
     """
-    stacked = isinstance(a, np.ndarray) and a.ndim > 2
-    lam, v = np.linalg.eigh(a if stacked else as_hermitian(a).entries)
+    lam, v = np.linalg.eigh(a)
     lam.setflags(write=False)
     v.setflags(write=False)
     return SpectralDecomposition(lam, v)
@@ -172,13 +134,13 @@ def _power_domain(q: float) -> str:
     return "nonneg"
 
 
-def matrix_power(a, q: float) -> HermitianMatrix:
+def matrix_power(a, q: float) -> np.ndarray:
     """A^q by spectral calculus; strictly PD input required for q < 0."""
     dec = eigh(a)
     lam, faults = checked_spectra(dec.eigenvalues[None], _power_domain(q))
     if faults:
         raise DomainError(faults[0])
-    return HermitianMatrix(spectral_matrix(dec.eigenvectors, np.power(lam[0], q)))
+    return hermitian_part(spectral_matrix(dec.eigenvectors, np.power(lam[0], q)))
 
 
 def singular_values(x) -> np.ndarray:
@@ -187,7 +149,7 @@ def singular_values(x) -> np.ndarray:
     Each carries an absolute error of about eps * sigma_max, where the
     eigenvalues of X^* X carry eps * sigma_max^2.
     """
-    return np.linalg.svd(_coerce(x), compute_uv=False)
+    return np.linalg.svd(x, compute_uv=False)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +162,10 @@ def random_complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> n
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
 
-def psd_from_rng(rng: np.random.Generator, dim: int, rank: int) -> HermitianMatrix:
+def psd_from_rng(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
+    """G G^* for a complex normal dim x rank factor G, exactly Hermitian."""
     g = random_complex_gaussian(rng, dim, rank)
-    return HermitianMatrix(g @ g.conj().T)
+    return hermitian_part(g @ g.conj().T)
 
 
 def unitary_from_rng(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -224,7 +187,7 @@ def _rank_deficient(rng, dim):
 def _rotated_uniform(rng, dim):
     u = unitary_from_rng(rng, dim)
     d = rng.uniform(0.0, 1.0, size=dim)
-    return HermitianMatrix((u * d) @ u.conj().T)
+    return hermitian_part((u * d) @ u.conj().T)
 
 
 ENSEMBLES = {
@@ -234,7 +197,7 @@ ENSEMBLES = {
 }
 
 
-def random_ensemble(kind: str, dim: int, rng: np.random.Generator) -> HermitianMatrix:
+def random_ensemble(kind: str, dim: int, rng: np.random.Generator) -> np.ndarray:
     """Draw one PSD matrix from a named ensemble using the supplied generator."""
     try:
         draw = ENSEMBLES[kind]
@@ -248,26 +211,10 @@ def random_ensemble(kind: str, dim: int, rng: np.random.Generator) -> HermitianM
 # ---------------------------------------------------------------------------
 
 
-def block2x2(b, c, d) -> HermitianMatrix:
-    """Assemble [[B, C^*], [C, D]]; C maps the B-space into the D-space."""
-    mb = as_hermitian(b).entries
-    md = as_hermitian(d).entries
-    mc = _coerce(c)
-    nb, nd = mb.shape[0], md.shape[0]
-    if mc.shape != (nd, nb):
-        raise ShapeError(
-            f"off-diagonal block must have shape ({nd}, {nb}), got {mc.shape}"
-        )
-    return HermitianMatrix(assemble_blocks(mb, mc, md))
-
-
 def assemble_blocks(b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     """[[B, C^*], [C, D]] over stacked blocks (no shape or symmetry checks)."""
     top = np.concatenate([b, c.mT.conj()], axis=-1)
     return np.concatenate([top, np.concatenate([c, d], axis=-1)], axis=-2)
-
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -275,18 +222,10 @@ def assemble_blocks(b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def matrix_to_json(a) -> dict:
-    m = _coerce(a)
-    out = {"dim": int(m.shape[0]), "re": m.real.tolist()}
-    if np.any(m.imag != 0.0):
-        out["im"] = m.imag.tolist()
-    return out
-
-
-def matrix_from_json(obj) -> HermitianMatrix:
-    """Parse {"dim": n, "re": [[...]], "im": [[...]]} ("im" optional)."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+def matrix_from_json(obj) -> np.ndarray:
+    """Parse {"dim": n, "re": [[...]], "im": [[...]]} ("im" optional) into
+    the complex matrix as written: it is not symmetrised, because a general
+    block C is read the same way.  Every entry must be finite."""
     dim = int(obj["dim"])
     re = np.asarray(obj["re"], dtype=np.float64)
     im = np.asarray(obj.get("im", np.zeros((dim, dim))), dtype=np.float64)
@@ -294,4 +233,6 @@ def matrix_from_json(obj) -> HermitianMatrix:
         raise ShapeError(
             f"matrix file claims dim={dim} but arrays have shapes {re.shape}, {im.shape}"
         )
-    return HermitianMatrix(re + 1j * im)
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("matrix entries must be finite")
+    return re + 1j * im

@@ -58,7 +58,7 @@ def test_criterion_2_quadratic_equality_suite():
             a = mc.psd_from_rng(rng, dim, dim)
             b = mc.psd_from_rng(rng, dim, dim)
             for g in gs:
-                rec = ineq.main_trace_ineq(g, a, b)
+                rec = ineq.evaluate_one("MAIN_TRACE", {"a": a, "b": b}, func=g)
                 scale = max(abs(rec.lhs), abs(rec.rhs), 1.0)
                 assert abs(rec.lhs - rec.rhs) <= 1e-9 * scale
             pairs += 1
@@ -170,17 +170,17 @@ def test_criterion_6_structural_equivalences():
             dim = 2 + (k % 2)  # dims 2 and 3
             rng = np.random.default_rng(60_000 + k)
             c = mc.random_complex_gaussian(rng, dim, dim)
-            d = mc.HermitianMatrix(mc.psd_from_rng(rng, dim, dim).entries + 0.1 * np.eye(dim))
+            d = mc.psd_from_rng(rng, dim, dim) + 0.1 * np.eye(dim)
 
-            z = mc.block2x2(ineq._z_block(c, d)[1], c, d)
+            z = mc.assemble_blocks(ineq._z_block(c, d)[1], c, d)
             z_scale = max(1.0, float(np.max(np.abs(mc.eigh(z).eigenvalues))))
             assert ineq.z_spectrum_check(c, d) <= 1e-9 * z_scale
 
-            dih = mc.matrix_power(d, -0.5).entries
-            a_sub = mc.HermitianMatrix(dih @ c @ c.conj().T @ dih)
+            dih = mc.matrix_power(d, -0.5)
+            a_sub = dih @ c @ c.conj().T @ dih
             q = qs[k % 3]
-            r1 = ineq.cor_abq3_gap(c, d, q)
-            r2 = ineq.cor_faltq_gap(a_sub, d, q)
+            r1 = ineq.evaluate_one("COR_ABQ3", {"c": c, "d": d}, q)
+            r2 = ineq.evaluate_one("COR_FALTQ", {"a": a_sub, "b": d}, q)
             scale = max(abs(r1.lhs), abs(r1.rhs), 1.0)
             assert abs(r1.lhs - r2.lhs) <= 1e-9 * scale
             assert abs(r1.rhs - r2.rhs) <= 1e-9 * scale

@@ -10,7 +10,6 @@ from tracelab import explorer as ex
 from tracelab import funclass as fc
 from tracelab import ineq
 from tracelab import matcore as mc
-from tracelab.matcore import DomainError
 
 CM0 = fc.DiscreteMeasureCM0((0.5, 2.0), (1.0, 0.5))
 
@@ -59,11 +58,10 @@ def test_stack_matches_one_trial_wrapper(case, dim):
     records = ineq.evaluate(case, stacked, q, func).records(seeds, "mixed", cell=(q, dim))
     skipped = 0
     for seed, inputs, rec in zip(seeds, trials, records):
-        try:
-            one = ex.evaluate_case(case, inputs, q=q, func=func, seed=seed, ensemble="mixed")
-        except DomainError as exc:
+        one = ex.evaluate_case(case, inputs, q=q, func=func, seed=seed, ensemble="mixed")
+        if one.verdict == "SKIPPED":
             skipped += 1
-            assert rec.verdict == "SKIPPED" and rec.reason == str(exc)
+            assert rec.verdict == "SKIPPED" and rec.reason == one.reason and one.reason
             continue
         assert rec.lhs == pytest.approx(one.lhs, rel=1e-12, abs=0.0)
         assert rec.rhs == pytest.approx(one.rhs, rel=1e-12, abs=0.0)
@@ -100,10 +98,8 @@ def sequential_search(case, q, dim, budget, seed, func):
         return {key: m[0] for key, m in kind.unpack(params[None], dim).items()}
 
     def gap_of(params):
-        try:
-            return ex.evaluate_case(case, inputs(params), q=q, func=func).gap
-        except DomainError:
-            return math.inf
+        rec = ex.evaluate_case(case, inputs(params), q=q, func=func)
+        return math.inf if rec.verdict == "SKIPPED" else rec.gap
 
     best_gap, best = math.inf, None
     for k in range(budget):

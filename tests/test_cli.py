@@ -1,6 +1,8 @@
 """Tests for the command-line front end: exit codes, formats, determinism."""
 
+import hashlib
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -9,7 +11,6 @@ import pytest
 from tracelab import cli
 from tracelab import explorer as ex
 from tracelab import ineq
-from tracelab import matcore as mc
 from tracelab.ineq import TrialRecord
 
 
@@ -134,7 +135,7 @@ class TestVerify:
 
     def test_matrix_file_indirection(self, tmp_path, capsys):
         mat = tmp_path / "a.json"
-        mat.write_text(json.dumps(mc.matrix_to_json(np.eye(2))))
+        mat.write_text(json.dumps({"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]]}))
         config = {
             "matrix_a": str(mat),
             "matrix_b": {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]]},
@@ -145,6 +146,84 @@ class TestVerify:
         cfg.write_text(json.dumps(config))
         code, out, _ = run(["verify", "--config", str(cfg)], capsys)
         assert code == 0
+
+
+C_UPPER = {"dim": 2, "re": [[0.0, 1.0], [0.0, 0.0]]}  # a general block: not Hermitian
+D_DIAG = {"dim": 2, "re": [[1.0, 0.0], [0.0, 2.0]]}
+EXPLICIT_CONFIGS = {
+    "COR_ABQ3": {"case": "COR_ABQ3", "q": [1.5], "matrix_c": C_UPPER, "matrix_d": D_DIAG},
+    "NORM_COMPRESSION": {
+        "case": "NORM_COMPRESSION", "q": [1.5],
+        "matrix_b": {"dim": 2, "re": [[2.0, 0.0], [0.0, 1.0]]}, "matrix_c": C_UPPER, "matrix_d": D_DIAG,
+    },
+}
+
+
+class TestExplicitMatrices:
+    @pytest.mark.parametrize("case", sorted(EXPLICIT_CONFIGS))
+    def test_general_block_is_read_as_given(self, case, tmp_path, capsys):
+        # the config path gives what the API gives on the same matrices
+        config = EXPLICIT_CONFIGS[case]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, _ = run(["verify", "--config", str(cfg)], capsys)
+        assert code == 0
+        (line,) = out.splitlines()
+        rec = json.loads(line)
+        inputs = {k[-1]: np.array(v["re"]) for k, v in config.items() if k.startswith("matrix_")}
+        api = ineq.evaluate_one(case, inputs, 1.5)
+        assert abs(rec["lhs"] - api.lhs) <= 1e-12 and abs(rec["rhs"] - api.rhs) <= 1e-12
+        assert rec["verdict"] == api.verdict == "PASS"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_entry_is_usage_error(self, value, tmp_path, capsys):
+        config = {
+            "case": "COR_ABQ", "q": [2.0],
+            "matrix_a": {"dim": 2, "re": [[value, 0.0], [0.0, 1.0]]},
+            "matrix_b": {"dim": 2, "re": [[2.0, 1.0], [1.0, 1.0]]},
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))  # written as the JSON extensions NaN / Infinity
+        code, out, err = run(["verify", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "finite" in err and out == ""
+
+    def test_out_of_domain_case_is_a_skipped_record(self, tmp_path, capsys):
+        # A is not PSD: the power corollaries skip it, as a sweep does, and
+        # Golden-Thompson (any Hermitian pair) still runs
+        config = {
+            "case": "COR_ABQ,MCCARTHY,GOLDEN_THOMPSON", "q": [2.0],
+            "matrix_a": {"dim": 2, "re": [[1.0, 0.0], [0.0, -0.5]]},
+            "matrix_b": {"dim": 2, "re": [[2.0, 1.0], [1.0, 1.0]]},
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(["verify", "--config", str(cfg)], capsys)
+        assert code == 0
+        records = [TrialRecord.from_json(json.loads(line)) for line in out.splitlines()]
+        reason = "matrix is not PSD: min eigenvalue -5.000e-01 (scale 1.000e+00)"
+        assert [(r.case, r.verdict, r.reason) for r in records] == [
+            ("COR_ABQ", "SKIPPED", reason), ("MCCARTHY", "SKIPPED", reason), ("GOLDEN_THOMPSON", "PASS", ""),
+        ]
+        assert "verify: 3 records, 0 FAIL, 2 SKIPPED" in err
+
+
+def job_seed(seed, child, job):
+    """A 56-bit program seed hashed from (workload seed, child, job), as the
+    benchmark harness derives the seeds of its jobs."""
+    return int.from_bytes(hashlib.sha256(f"{seed}:{child}:{job}".encode()).digest()[:7], "big")
+
+
+@pytest.mark.parametrize("seed", [job_seed(1, child, job) for child in range(2) for job in range(4)])
+def test_benchmark_verify_job(seed, capsys):
+    # the benchmark's verify job: every record a verdict (no FAIL, no
+    # SKIPPED), as many as the summary line counts, exit code 0
+    code, out, err = run(["verify", "--trials", "60", "--seed", str(seed)], capsys)
+    assert code == 0
+    verdicts = Counter(json.loads(line)["verdict"] for line in out.splitlines())
+    assert verdicts["FAIL"] == verdicts["SKIPPED"] == 0
+    summary = re.match(r"verify: (\d+) records, 0 FAIL, 0 SKIPPED", err)
+    assert summary is not None and int(summary.group(1)) == sum(verdicts.values()) > 0
 
 
 class TestSweep:

@@ -196,6 +196,13 @@ class TestSearch:
         d = ineq.CD.unpack(params * ineq.CD.rank_mask(3, restarts), 3)["d"]  # COR_ABQ3 needs D > 0
         assert [np.linalg.matrix_rank(m) for m in d] == [3] * 4
 
+    def test_parameter_layout(self):
+        # a factor's parameters are the real, then the imaginary parts of G
+        # (row-major); COR_ABQ3's general block C is G itself
+        params = np.arange(1.0, 1.0 + ineq.CD.param_count(2))[None]
+        c = ineq.CD.unpack(params, 2)["c"][0]
+        assert np.array_equal(c, np.array([[1.0, 2.0], [3.0, 4.0]]) + 1j * np.array([[5.0, 6.0], [7.0, 8.0]]))
+
     def test_singular_inputs_only_inside_the_domain(self):
         assert ineq.singular_inputs_ok("COR_ABQ", 4.0)
         assert not ineq.singular_inputs_ok("COR_ABQ", -1.0)

@@ -1,5 +1,7 @@
 """Every name a module exports resolves, so a deletion cannot leave a stale
-entry in `__all__`."""
+entry in `__all__`; and the kernel and the catalog export what they should:
+matrices are plain complex arrays (no matrix class), and cases are evaluated
+through `ineq.evaluate` / `ineq.evaluate_one` (no per-case functions)."""
 
 import importlib
 
@@ -13,3 +15,22 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+EXPORTS = {
+    "tracelab.matcore": {
+        "MatcoreError", "ShapeError", "DomainError", "SpectralDecomposition", "eigh", "hermitian_part",
+        "spectral_matrix", "checked_spectra", "assemble_blocks", "matrix_power", "singular_values",
+        "random_complex_gaussian", "random_ensemble", "ENSEMBLES", "matrix_from_json",
+    },
+    "tracelab.ineq": {
+        "DEFAULT_TOL_REL", "TrialRecord", "InputKind", "Factor", "Case", "Batch", "CASES", "probe_case",
+        "evaluate", "evaluate_one", "singular_inputs_ok", "oriented_gap", "z_spectrum_check",
+        "projector_overlap_total",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTS))
+def test_exports(name):
+    assert set(importlib.import_module(name).__all__) == EXPORTS[name]

@@ -27,7 +27,7 @@ PAIR_PARAMS = [
 
 def draw_pairs(seed, dim):
     rng = np.random.default_rng(seed)
-    mats = [mc.random_ensemble("wishart", dim, rng).entries for _ in range(2 * TRIALS)]
+    mats = [mc.random_ensemble("wishart", dim, rng) for _ in range(2 * TRIALS)]
     return np.stack(mats[0::2]), np.stack(mats[1::2])
 
 
