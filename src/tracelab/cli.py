@@ -248,12 +248,25 @@ def _verify_plans(case: str, config: RunConfig, case_seed: int) -> list[ex.Sweep
     return plans
 
 
+# (key, axis, key, axis, rule): explicit inputs whose lengths must agree.  The
+# matrix format gives one dim per matrix, so every matrix is square already.
+SHAPE_RULES = (
+    ("a", 0, "b", 0, "the same side as"),
+    ("c", 0, "d", 0, "as many rows as"),
+    ("c", 1, "b", 1, "as many columns as"),
+)
+
+
 def _explicit_matrix_records(case: str, config: RunConfig) -> list[ineq.TrialRecord]:
     entry = ineq.CASES[case]
     missing = [f"matrix_{k}" for k in entry.kind.keys if f"matrix_{k}" not in config.matrices]
     if missing:
         raise UsageError(f"case {case} with explicit matrices needs config keys {missing}")
     inputs = {k: config.matrices[f"matrix_{k}"] for k in entry.kind.keys}
+    for x, i, y, j, rule in SHAPE_RULES:
+        if x in inputs and y in inputs and inputs[x].shape[i] != inputs[y].shape[j]:
+            shape_x, shape_y = ("x".join(map(str, inputs[k].shape)) for k in (x, y))
+            raise UsageError(f"case {case}: matrix_{x} ({shape_x}) must have {rule} matrix_{y} ({shape_y})")
     func = _parse_func(config, case) if entry.needs_func else None
     return [
         ineq.evaluate_one(

@@ -182,8 +182,7 @@ class SweepSummary:
 
 def draw_inputs(case: str, dim: int, ensemble: str, rng: np.random.Generator) -> dict:
     """Draw the matrices one trial of `case` consumes, from one generator."""
-    kind = ineq.CASES[case].kind
-    return dict(zip(kind.keys, kind.draw(rng, ensemble, dim)))
+    return ineq.CASES[case].kind.draw(rng, ensemble, dim)
 
 
 # Evaluate one catalog case on explicit inputs {key: matrix}; a trial a sweep
@@ -202,7 +201,7 @@ def run_cell(plan: SweepPlan, cell_index: int, q: float | None, dim: int) -> lis
         draws = [draw_inputs(plan.case, dim, plan.ensemble, np.random.default_rng(s)) for s in seeds]
         inputs = {k: np.stack([d[k] for d in draws]) for k in draws[0]}
         batch = ineq.evaluate(plan.case, inputs, q, plan.func, plan.tol_rel)
-        records.extend(batch.records(seeds, plan.ensemble, cell=(q, dim)))
+        records.extend(batch.records(seeds, plan.ensemble))
     return records
 
 
@@ -289,11 +288,12 @@ def search_counterexample(
     non-improvement.  Returns the most negative-gap record found; the record's
     `detail` carries the input matrices so the gap can be re-evaluated.
 
-    Restart k builds its PSD inputs from Gram factors of rank 1 + (k mod n),
-    n the factor's side, so restarts reach the edge of the PSD cone where
-    counterexamples such as two rank-one projectors live; where singular
-    inputs are outside the case's domain (ineq.singular_inputs_ok) every
-    restart has full rank.
+    Restart k builds its inputs from factors of rank 1 + (k mod n), n the
+    factor's side, so restarts reach the edge of the PSD cone where
+    counterexamples such as two rank-one projectors live.  Where the kernel
+    skips such a rank-reduced start point (singular inputs outside the
+    case's domain), the restart starts instead at full rank from the same
+    normal draw, and the chunk is evaluated once more.
 
     Up to CHUNK_TRIALS independent restarts advance in lockstep, one stacked
     evaluation per step.  Row k of a (restarts, nparams + SEARCH_REFINE_STEPS)
@@ -310,17 +310,21 @@ def search_counterexample(
     kind = ineq.CASES[case].kind
     rng = np.random.default_rng(seed)
     nparams = kind.param_count(dim)
-    low_rank = ineq.singular_inputs_ok(case, q, func)
 
     best_params = None
     best_gap = math.inf
     for lo in range(0, budget, CHUNK_TRIALS):
         draws = rng.standard_normal((min(CHUNK_TRIALS, budget - lo), nparams + SEARCH_REFINE_STEPS))
         # a parameter a restart's rank leaves out stays 0: its steps change nothing
-        live = kind.rank_mask(dim, np.arange(lo, lo + len(draws))) if low_rank else np.ones((len(draws), nparams), bool)
-        params = draws[:, :nparams] * live
-        inputs = kind.unpack(params, dim)
-        batch = ineq.evaluate(case, inputs, q, func, tol_rel)
+        live = kind.rank_mask(dim, np.arange(lo, lo + len(draws)))
+        for _ in range(2):  # the second pass only where the first skipped a rank-reduced start
+            params = draws[:, :nparams] * live
+            inputs = kind.unpack(params, dim)
+            batch = ineq.evaluate(case, inputs, q, func, tol_rel)
+            retry = np.array([bool(r) for r in batch.reasons]) & ~live.all(axis=1)
+            if not retry.any():
+                break
+            live[retry] = True  # singular inputs outside the case's domain: start at full rank
         gap = batch.gaps()
         decomps = {k: mc.SpectralDecomposition(*map(np.array, d)) for k, d in batch.decomps.items()}  # writable
         step = np.full(len(params), SEARCH_INITIAL_STEP)

@@ -366,23 +366,20 @@ def _ts_level_sum(f: Callable[[float], float], h: float) -> tuple[float, int]:
     return total * h, evals
 
 
-def integrate_unit_interval(
-    f: Callable[[float], float],
-    rel_target: float = QUAD_REL_TARGET,
-    max_nodes: int = QUAD_NODE_CAP,
-) -> float:
+def integrate_unit_interval(f: Callable[[float], float]) -> float:
     """Integrate f over (0, 1) by adaptive tanh-sinh refinement.
 
     Handles integrable endpoint singularities.  Refinement stops at the
-    relative target or when the node budget is exhausted, whichever first.
+    relative target QUAD_REL_TARGET or when QUAD_NODE_CAP nodes are used,
+    whichever first.
     """
     h = 1.0
     value, used = _ts_level_sum(f, h)
-    while used < max_nodes:
+    while used < QUAD_NODE_CAP:
         h *= 0.5
         new_value, evals = _ts_level_sum(f, h)
         used += evals
-        if abs(new_value - value) <= rel_target * max(abs(new_value), 1e-300):
+        if abs(new_value - value) <= QUAD_REL_TARGET * max(abs(new_value), 1e-300):
             return new_value
         value = new_value
     return value

@@ -46,7 +46,6 @@ __all__ = [
     "probe_case",
     "evaluate",
     "evaluate_one",
-    "singular_inputs_ok",
     "oriented_gap",
     "z_spectrum_check",
     "projector_overlap_total",
@@ -242,18 +241,29 @@ def _z_blocks(tr: _Trials, c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _golden_thompson(tr, t, g, a, b):
+    """Both sides on A - cI and B - dI, c = min(lambda_min(A), 0) and d
+    likewise, where no exponential exceeds 1; both sides scale back by
+    e^{-tc} and then e^{-td}, and a trial whose scaled sides overflow is
+    skipped.  A side times e^{-tc} alone is at most the scaled side, so
+    where the scaled sides and both factors fit, so does the product.  The
+    rounding fuzz of a PSD spectrum is no shift: PSD inputs keep c = d = 0."""
     (lam_a, va), (lam_b, vb) = tr.eigh("a", a), tr.eigh("b", b)
-    lhs = np.sum(np.exp(-t * np.linalg.eigvalsh(a + b)), axis=-1)
-    return lhs, _pair_sum(_outer(np.exp(-t * lam_a), np.exp(-t * lam_b)), va, vb)
-
-
-def _main_trace_domain(g: fc.ScalarFunction) -> str:
-    """The domain of A and B: the CM0 form is stated for A, B > 0."""
-    return "positive" if g.class_tag == "CM0" else "nonneg"
+    c, d = (
+        np.where(lam[:, :1] < -mc.PSD_NEGATIVITY_TOL * np.maximum(lam[:, -1:], 1.0), lam[:, :1], 0.0)
+        for lam in (lam_a, lam_b)
+    )
+    lhs = np.sum(np.exp(-t * (np.linalg.eigvalsh(a + b) - (c + d))), axis=-1)
+    rhs = _pair_sum(_outer(np.exp(-t * (lam_a - c)), np.exp(-t * (lam_b - d))), va, vb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs, rhs = (side * np.exp(-t * c[:, 0]) * np.exp(-t * d[:, 0]) for side in (lhs, rhs))
+    overflow = np.flatnonzero(~(np.isfinite(lhs) & np.isfinite(rhs))).tolist()
+    tr.flag({i: f"both sides overflow: they scale by exp({-t * (c[i, 0] + d[i, 0]):.6g})" for i in overflow})
+    lhs[overflow], rhs[overflow] = 0.0, 0.0
+    return lhs, rhs
 
 
 def _main_trace(tr, q, g, a, b):
-    domain = _main_trace_domain(g)
+    domain = "positive" if g.class_tag == "CM0" else "nonneg"  # the CM0 form is stated for A, B > 0
     (lam_a, va), (lam_b, vb) = tr.eigh("a", a), tr.eigh("b", b)
     av, bv = tr.spectra(lam_a, domain), tr.spectra(lam_b, domain)
     # every argument of g is validated first: funclass functions reject a
@@ -324,12 +334,8 @@ def _norm_compression(tr, q, g, b, c, d):
     return np.sum(tr.power(lam, q), axis=-1), (2.0**q - 2.0) * gamma + beta + delta
 
 
-def _trace_subadd_domain(g: fc.ScalarFunction) -> str:
-    return "positive" if getattr(g, "domain", "real") == "positive" else "nonneg"
-
-
 def _trace_subadd(tr, q, g, a, b):
-    domain = _trace_subadd_domain(g)
+    domain = "positive" if getattr(g, "domain", "real") == "positive" else "nonneg"
 
     def tr_g(h):
         return np.sum(g(tr.spectra(np.linalg.eigvalsh(h), domain)), axis=-1)
@@ -426,40 +432,25 @@ def _cmat(params: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return params[:, :n].reshape(-1, rows, cols) + 1j * params[:, n : 2 * n].reshape(-1, rows, cols)
 
 
-def _draw_pair(rng, ensemble, dim):
-    return mc.random_ensemble(ensemble, dim, rng), mc.random_ensemble(ensemble, dim, rng)
-
-
-def _draw_blocks(rng, ensemble, dim):
-    w = mc.random_ensemble(ensemble, 2 * dim, rng)
-    return w[:dim, :dim], w[dim:, :dim], w[dim:, dim:]
-
-
-def _draw_cd(rng, ensemble, dim):
-    c = mc.random_complex_gaussian(rng, dim, dim)
-    return c, mc.random_ensemble(ensemble, dim, rng)
-
-
 def _whole(m: np.ndarray, dim: int) -> tuple:
     return (m,)
 
 
 def _block_partition(w: np.ndarray, dim: int) -> tuple:
-    return w[:, :dim, :dim], w[:, dim:, :dim], w[:, dim:, dim:]
+    return w[..., :dim, :dim], w[..., dim:, :dim], w[..., dim:, dim:]
 
 
 @dataclass(frozen=True)
 class Factor:
-    """One slice of a trial's search parameters: the real, then the imaginary
-    parts of a complex side x side factor G (row-major), side = scale * dim.
-    It feeds the inputs `keys`, split from the Gram matrix G G^* when `gram`,
-    else from G.  A `low_rank` factor may be restricted to its first r
-    columns, so that its Gram matrix has rank at most r."""
+    """One side x side matrix of a trial's input layout, side = scale * dim,
+    split into the inputs `keys`.  A search builds it from a complex factor G,
+    its slice of the parameters (the real, then the imaginary parts of G,
+    row-major): the Gram matrix G G^* when `gram`, else G itself.  A sweep
+    draws it from the ensemble when `gram`, else as a complex Gaussian."""
 
     keys: tuple[str, ...]
     scale: int = 1
     gram: bool = True
-    low_rank: bool = True
     split: Callable[[np.ndarray, int], tuple] = _whole
 
     def param_count(self, dim: int) -> int:
@@ -469,15 +460,20 @@ class Factor:
         g = _cmat(params, self.scale * dim, self.scale * dim)
         return dict(zip(self.keys, self.split(_gram(g) if self.gram else g, dim)))
 
+    def draw(self, rng: np.random.Generator, ensemble: str, dim: int) -> dict:
+        side = self.scale * dim
+        m = mc.random_ensemble(ensemble, side, rng) if self.gram else mc.random_complex_gaussian(rng, side, side)
+        return dict(zip(self.keys, self.split(m, dim)))
+
 
 @dataclass(frozen=True)
 class InputKind:
     """The matrices one trial consumes, named by `keys` (matrix_<key> in
     config files); "c" is a general block, every other input Hermitian.
-    `factors` lay the real search parameters out over the inputs, PSD ones as
-    Gram matrices.  A record's dim sums the columns of `dim_keys`."""
+    `factors` lay the inputs out, PSD ones as Gram matrices, for both the
+    seeded draw and the real search parameters.  A record's dim sums the
+    columns of `dim_keys`."""
 
-    draw: Callable[[np.random.Generator, str, int], tuple]
     factors: tuple[Factor, ...]
     dim_keys: tuple[str, ...]
 
@@ -487,6 +483,11 @@ class InputKind:
 
     def param_count(self, dim: int) -> int:
         return sum(f.param_count(dim) for f in self.factors)
+
+    def draw(self, rng: np.random.Generator, ensemble: str, dim: int) -> dict:
+        """One trial's inputs {key: matrix}, drawn factor by factor from one
+        generator."""
+        return {k: m for f in self.factors for k, m in f.draw(rng, ensemble, dim).items()}
 
     def unpack(self, params: np.ndarray, dim: int, column: int | None = None) -> dict:
         """{key: (K, rows, cols)} from (K, P) parameters: every input, or only
@@ -501,38 +502,35 @@ class InputKind:
 
     def rank_mask(self, dim: int, restarts: np.ndarray) -> np.ndarray:
         """(K, P) mask of the parameters that restart k = restarts[i] uses:
-        those of the first 1 + (k mod s) columns of each low-rank factor of
-        side s, so each Gram matrix it feeds has rank at most 1 + (k mod s)."""
+        those of the first 1 + (k mod s) columns of each factor of side s, so
+        each matrix it feeds has rank at most 1 + (k mod s)."""
         masks = []
         for f in self.factors:
             side = f.scale * dim
             col = np.tile(np.arange(side), 2 * side)  # the column of G each parameter sits in
-            limit = restarts % side if f.low_rank else np.full(len(restarts), side)
-            masks.append(col <= limit[:, None])
+            masks.append(col <= (restarts % side)[:, None])
         return np.concatenate(masks, axis=1)
 
 
-PAIR = InputKind(_draw_pair, (Factor(("a",)), Factor(("b",))), ("a",))
-BLOCKS = InputKind(_draw_blocks, (Factor(("b", "c", "d"), scale=2, split=_block_partition),), ("b", "d"))
-CD = InputKind(_draw_cd, (Factor(("c",), gram=False, low_rank=False), Factor(("d",), low_rank=False)), ("c", "d"))
+PAIR = InputKind((Factor(("a",)), Factor(("b",))), ("a",))
+BLOCKS = InputKind((Factor(("b", "c", "d"), scale=2, split=_block_partition),), ("b", "d"))
+CD = InputKind((Factor(("c",), gram=False), Factor(("d",))), ("c", "d"))
 
 
 @dataclass(frozen=True)
 class Case:
     """Catalog entry.  `rule` orients the gap from q, or from the scalar
     function when `needs_func`; `kernel` evaluates both sides over stacked
-    trials; `fixed_q` replaces q for a case evaluated at one exponent;
-    `input_domain` maps the scalar function onto the domain it imposes on
-    the inputs.  `verify` runs the case over `grid`, or over `funcs` when
-    `needs_func`; `param` names the flag that sets the parameter; `probes`
-    maps each named open region of the case to its default grid."""
+    trials; `fixed_q` replaces q for a case evaluated at one exponent.
+    `verify` runs the case over `grid`, or over `funcs` when `needs_func`;
+    `param` names the flag that sets the parameter; `probes` maps each named
+    open region of the case to its default grid."""
 
     kind: InputKind
     rule: Callable[[Any], tuple[str, str]]
     kernel: Callable
     needs_func: bool = False
     fixed_q: float | None = None
-    input_domain: Callable[[Any], str] | None = None
     grid: tuple[float, ...] = ()
     funcs: tuple = ()
     param: str = "q"
@@ -570,7 +568,7 @@ CASES = {
     # trace(g(A+B) - g(A) - g(B)) vs the projector double sum
     # sum_kl (g(2 sqrt(a_k b_l)) - 2 g(sqrt(a_k b_l))) |<v_k, w_l>|^2
     "MAIN_TRACE": Case(
-        PAIR, _dir_main_trace, _main_trace, needs_func=True, input_domain=_main_trace_domain,
+        PAIR, _dir_main_trace, _main_trace, needs_func=True,
         funcs=(
             fc.DiscreteMeasureCM0((0.5, 2.0), (1.0, 0.5)),
             fc.PowerFunction(-0.5),
@@ -611,7 +609,7 @@ CASES = {
     # trace g(A+B) vs trace g(A) + trace g(B): subadditive for CM0 and BF0,
     # superadditive for the primitive classes BFk, k >= 1
     "TRACE_SUBADD": Case(
-        PAIR, _dir_trace_subadd, _trace_subadd, needs_func=True, input_domain=_trace_subadd_domain,
+        PAIR, _dir_trace_subadd, _trace_subadd, needs_func=True,
         funcs=(
             fc.DiscreteMeasureCM0((0.5, 2.0), (1.0, 0.5)),
             fc.PowerFunction(0.5),
@@ -629,17 +627,6 @@ def probe_case(region: str) -> str:
     if region not in owners:
         raise ValueError(f"unknown region {region!r}; choose from {sorted(owners)}")
     return owners[region]
-
-
-def singular_inputs_ok(case: str, q: float | None = None, func: fc.ScalarFunction | None = None) -> bool:
-    """Whether singular PSD inputs lie in the domain of `case` at this
-    parameter: not under a negative power, nor where the scalar function
-    needs positive arguments (or, as MAIN_TRACE's CM0 form, A, B > 0)."""
-    entry = CASES[case]
-    if entry.needs_func:
-        return "positive" not in (getattr(func, "domain", "real"), entry.input_domain(func))
-    q = entry.fixed_q if entry.fixed_q is not None else q
-    return q is None or q >= 0
 
 
 @dataclass(frozen=True)
@@ -664,10 +651,8 @@ class Batch:
         gap = oriented_gap(self.direction, self.lhs, self.rhs)
         return np.where(np.fromiter(map(bool, self.reasons), bool, len(self.reasons)), np.inf, gap)
 
-    def records(self, seeds, ensemble: str, cell: tuple | None = None) -> list[TrialRecord]:
-        """One record per trial; a skipped trial's record carries the cell's
-        (q, dim) when given."""
-        q, dim = cell if cell is not None else (self.q, self.dim)
+    def records(self, seeds, ensemble: str) -> list[TrialRecord]:
+        """One record per trial, each with the batch's q and dim."""
         tol = self.tol_rel * np.maximum(np.maximum(np.abs(self.lhs), np.abs(self.rhs)), 1.0)
         gap = oriented_gap(self.direction, self.lhs, self.rhs)
         if self.mode == CONJECTURE:
@@ -676,7 +661,7 @@ class Batch:
             verdicts = np.where(gap >= -tol, "PASS", "FAIL").tolist()
         rows = zip(seeds, self.reasons, self.lhs.tolist(), self.rhs.tolist(), gap.tolist(), tol.tolist(), verdicts)
         return [
-            TrialRecord(self.case, q, dim, seed, ensemble, 0.0, 0.0, 0.0, 0.0, "SKIPPED", reason) if reason
+            TrialRecord(self.case, self.q, self.dim, seed, ensemble, 0.0, 0.0, 0.0, 0.0, "SKIPPED", reason) if reason
             else TrialRecord(self.case, self.q, self.dim, seed, ensemble, lhs, rhs, g, t, v, func=self.func)
             for seed, reason, lhs, rhs, g, t, v in rows
         ]

@@ -55,13 +55,14 @@ def test_stack_matches_one_trial_wrapper(case, dim):
     trials = mixed_trials(case, how, dim, 9, seed=500 + dim)
     seeds = range(100, 109)
     stacked = {k: np.stack([t[k] for t in trials]) for k in trials[0]}
-    records = ineq.evaluate(case, stacked, q, func).records(seeds, "mixed", cell=(q, dim))
+    records = ineq.evaluate(case, stacked, q, func).records(seeds, "mixed")
     skipped = 0
     for seed, inputs, rec in zip(seeds, trials, records):
         one = ex.evaluate_case(case, inputs, q=q, func=func, seed=seed, ensemble="mixed")
         if one.verdict == "SKIPPED":
             skipped += 1
             assert rec.verdict == "SKIPPED" and rec.reason == one.reason and one.reason
+            assert (rec.q, rec.dim) == (one.q, one.dim)
             continue
         assert rec.lhs == pytest.approx(one.lhs, rel=1e-12, abs=0.0)
         assert rec.rhs == pytest.approx(one.rhs, rel=1e-12, abs=0.0)
@@ -76,6 +77,21 @@ def test_parameter_outside_the_case_skips_every_trial():
     assert records[0].reason == "McCarthy inequality needs q > 0, got -1.0"
 
 
+def test_skipped_records_carry_the_evaluated_q_and_dim(monkeypatch):
+    # NORM_COMPRESSION's record dim is the side of the block matrix (2 * dim)
+    # and PROP_Q4's q is its fixed exponent, skipped or not
+    plan = ex.SweepPlan("NORM_COMPRESSION", (-1.0, 1.5), (2,), 4)
+    records = ex.sweep_records(plan)
+    assert [(r.q, r.dim, r.verdict) for r in records] == [(-1.0, 4, "SKIPPED")] * 4 + [(1.5, 4, "PASS")] * 4
+    # two nearly orthogonal rank-one inputs of norm 1e6: the q=4 expansion
+    # identity misses by far more than its residual bound, so PROP_Q4 skips
+    c, s = math.cos(1e-6), math.sin(1e-6)
+    pair = {"a": np.diag([1e6, 0.0]), "b": 1e6 * np.array([[s * s, -s * c], [-s * c, c * c]])}
+    monkeypatch.setattr(ex, "draw_inputs", lambda case, dim, ensemble, rng: pair)
+    records = ex.sweep_records(ex.SweepPlan("PROP_Q4", (None,), (2,), 2))
+    assert [(r.q, r.dim, r.verdict) for r in records] == [(4.0, 2, "SKIPPED")] * 2
+
+
 @pytest.mark.parametrize("case,q,func", [
     ("COR_ABQ", -1.0, None), ("NORM_COMPRESSION", 1.5, None), ("MAIN_TRACE", None, CM0),
 ])
@@ -88,11 +104,10 @@ def test_cell_records_do_not_depend_on_the_chunk_size(case, q, func, monkeypatch
 
 def sequential_search(case, q, dim, budget, seed, func):
     """Reference: the restarts run one after another, one evaluation of every
-    input each step; restart k has rank 1 + (k mod n) where singular inputs
-    are in the case's domain."""
+    input each step; restart k has rank 1 + (k mod n), or full rank where
+    the kernel skips that rank-reduced start point."""
     kind = ineq.CASES[case].kind
     rng, nparams = np.random.default_rng(seed), kind.param_count(dim)
-    low_rank = ineq.singular_inputs_ok(case, q, func)
 
     def inputs(params):
         return {key: m[0] for key, m in kind.unpack(params[None], dim).items()}
@@ -103,8 +118,11 @@ def sequential_search(case, q, dim, budget, seed, func):
 
     best_gap, best = math.inf, None
     for k in range(budget):
-        live = kind.rank_mask(dim, np.array([k]))[0] if low_rank else np.ones(nparams, bool)
-        params = rng.standard_normal(nparams) * live
+        start = rng.standard_normal(nparams)
+        live = kind.rank_mask(dim, np.array([k]))[0]
+        if ex.evaluate_case(case, inputs(start * live), q=q, func=func).verdict == "SKIPPED":
+            live = np.ones(nparams, bool)
+        params = start * live
         gap, step = gap_of(params), ex.SEARCH_INITIAL_STEP
         for it in range(ex.SEARCH_REFINE_STEPS):
             cand = params.copy()
@@ -122,9 +140,11 @@ def sequential_search(case, q, dim, budget, seed, func):
 @pytest.mark.parametrize("case,q,func", [
     ("COR_ABQ", 2.0, None),
     ("COR_ABQ", 4.0, None),
+    ("COR_ABQ", -1.0, None),
     ("NORM_COMPRESSION", 4.0, None),
     ("MAIN_TRACE", None, fc.DiscreteMeasureBFk(2, (1.0,), (1.0,))),
     ("COR_ABQ3", -2.5, None),
+    ("COR_ABQ3", 1.5, None),
     ("COR_FALTQ", 2.5, None),
     ("ALT", -1.0, None),
     ("COR_PMEAN", 2.0, None),
@@ -153,6 +173,25 @@ def test_search_step_decomposes_only_the_perturbed_input(monkeypatch):
     ex.search_counterexample("COR_ABQ", 4.0, 2, restarts, 7)
     # start points (A and B), one input per step, then the best point's record
     assert sum(counted) == restarts * (2 + ex.SEARCH_REFINE_STEPS) + 2
+
+
+def test_skipped_rank_reduced_starts_cost_one_more_evaluation(monkeypatch):
+    # start points, one evaluation per step and the best point's record; at
+    # q = -1 the kernel skips the rank-reduced starts, which are evaluated
+    # again at full rank, once for the whole chunk
+    calls, evaluate = [], ineq.evaluate
+
+    def counting_evaluate(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(ineq, "evaluate", counting_evaluate)
+    counts = []
+    for q in (4.0, -1.0):
+        calls.clear()
+        ex.search_counterexample("COR_ABQ", q, 2, 5, 7)
+        counts.append(len(calls))
+    assert counts == [ex.SEARCH_REFINE_STEPS + 2, ex.SEARCH_REFINE_STEPS + 3]
 
 
 def test_nan_gap_never_wins(monkeypatch):

@@ -150,6 +150,7 @@ class TestVerify:
 
 C_UPPER = {"dim": 2, "re": [[0.0, 1.0], [0.0, 0.0]]}  # a general block: not Hermitian
 D_DIAG = {"dim": 2, "re": [[1.0, 0.0], [0.0, 2.0]]}
+IDENTITY_3 = {"dim": 3, "re": np.eye(3).tolist()}
 EXPLICIT_CONFIGS = {
     "COR_ABQ3": {"case": "COR_ABQ3", "q": [1.5], "matrix_c": C_UPPER, "matrix_d": D_DIAG},
     "NORM_COMPRESSION": {
@@ -187,6 +188,28 @@ class TestExplicitMatrices:
         code, out, err = run(["verify", "--config", str(cfg)], capsys)
         assert code == 2
         assert "finite" in err and out == ""
+
+    @pytest.mark.parametrize("config,message", [
+        (
+            {"case": "COR_ABQ", "q": [2.0], "matrix_a": D_DIAG, "matrix_b": IDENTITY_3},
+            "matrix_a (2x2) must have the same side as matrix_b (3x3)",
+        ),
+        (
+            {"case": "COR_ABQ3", "q": [1.5], "matrix_c": IDENTITY_3, "matrix_d": D_DIAG},
+            "matrix_c (3x3) must have as many rows as matrix_d (2x2)",
+        ),
+        (
+            {"case": "NORM_COMPRESSION", "q": [1.5], "matrix_b": D_DIAG, "matrix_c": IDENTITY_3, "matrix_d": IDENTITY_3},
+            "matrix_c (3x3) must have as many columns as matrix_b (2x2)",
+        ),
+    ], ids=["PAIR", "CD", "BLOCKS"])
+    def test_mismatched_shapes_are_usage_errors(self, config, message, tmp_path, capsys):
+        # the error names the config keys, where numpy's broadcast error names none
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(["verify", "--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: case {config['case']}: {message}\n"
 
     def test_out_of_domain_case_is_a_skipped_record(self, tmp_path, capsys):
         # A is not PSD: the power corollaries skip it, as a sweep does, and

@@ -193,8 +193,8 @@ class TestSearch:
         a = ineq.PAIR.unpack(params * ineq.PAIR.rank_mask(3, restarts), 3)["a"]
         assert [np.linalg.matrix_rank(m) for m in a] == [1, 2, 3, 1]
         assert np.array_equal(a[2], ineq.PAIR.unpack(params, 3)["a"][2])
-        d = ineq.CD.unpack(params * ineq.CD.rank_mask(3, restarts), 3)["d"]  # COR_ABQ3 needs D > 0
-        assert [np.linalg.matrix_rank(m) for m in d] == [3] * 4
+        d = ineq.CD.unpack(params * ineq.CD.rank_mask(3, restarts), 3)["d"]
+        assert [np.linalg.matrix_rank(m) for m in d] == [1, 2, 3, 1]
 
     def test_parameter_layout(self):
         # a factor's parameters are the real, then the imaginary parts of G
@@ -204,15 +204,23 @@ class TestSearch:
         assert np.array_equal(c, np.array([[1.0, 2.0], [3.0, 4.0]]) + 1j * np.array([[5.0, 6.0], [7.0, 8.0]]))
 
     def test_singular_inputs_only_inside_the_domain(self):
-        assert ineq.singular_inputs_ok("COR_ABQ", 4.0)
-        assert not ineq.singular_inputs_ok("COR_ABQ", -1.0)
-        assert ineq.singular_inputs_ok("PROP_Q4", -1.0)  # evaluated at q = 4
+        # the kernels alone decide: a rank-one Gram pair, as a rank-reduced
+        # search restart builds it, is skipped exactly outside the domain
+        params = np.random.default_rng(3).standard_normal((1, ineq.PAIR.param_count(3)))
+        pair = {k: m[0] for k, m in ineq.PAIR.unpack(params * ineq.PAIR.rank_mask(3, np.array([0])), 3).items()}
+
+        def skipped(case, q=None, func=None):
+            return ex.evaluate_case(case, pair, q=q, func=func).verdict == "SKIPPED"
+
+        assert not skipped("COR_ABQ", 4.0)
+        assert skipped("COR_ABQ", -1.0)
+        assert not skipped("PROP_Q4", -1.0)  # evaluated at q = 4
         bf = fc.DiscreteMeasureBFk(2, (1.0,), (1.0,))
         cm = fc.DiscreteMeasureCM0((0.5,), (1.0,))
-        assert ineq.singular_inputs_ok("MAIN_TRACE", func=bf)
-        assert not ineq.singular_inputs_ok("MAIN_TRACE", func=cm)  # stated for A, B > 0
-        assert ineq.singular_inputs_ok("TRACE_SUBADD", func=cm)
-        assert not ineq.singular_inputs_ok("TRACE_SUBADD", func=fc.PowerFunction(-0.5))
+        assert not skipped("MAIN_TRACE", func=bf)
+        assert skipped("MAIN_TRACE", func=cm)  # stated for A, B > 0
+        assert not skipped("TRACE_SUBADD", func=cm)
+        assert skipped("TRACE_SUBADD", func=fc.PowerFunction(-0.5))
 
 
 class TestProbe:

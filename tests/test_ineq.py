@@ -127,6 +127,31 @@ class TestGoldenThompson:
     def test_rejects_negative_t(self):
         skipped(pair("GOLDEN_THOMPSON", np.eye(2), np.eye(2), -1.0), "kernel rate t must be >= 0, got -1.0")
 
+    def test_shifted_inputs_scale_both_sides(self):
+        # shifting A and B by -300 I scales both sides by e^{600}, far beyond
+        # what either side's unshifted exponentials could hold in sum
+        a, b = psd_pair(3, 4)
+        base = pair("GOLDEN_THOMPSON", a, b, 1.0)
+        shifted = pair("GOLDEN_THOMPSON", a - 300.0 * np.eye(3), b - 300.0 * np.eye(3), 1.0)
+        assert shifted.verdict == "PASS"
+        assert shifted.lhs == pytest.approx(base.lhs * math.exp(600.0), rel=1e-10)
+        assert shifted.rhs == pytest.approx(base.rhs * math.exp(600.0), rel=1e-10)
+
+    def test_negative_directions_apart_stay_finite(self):
+        # e^{-t(c+d)} = e^{800} overflows, but both sides are 2 e^{400}
+        rec = pair("GOLDEN_THOMPSON", np.diag([-400.0, 0.0]), np.diag([0.0, -400.0]), 1.0)
+        assert rec.verdict == "PASS"
+        assert rec.lhs == pytest.approx(2.0 * math.exp(400.0), rel=1e-12)
+        assert rec.rhs == pytest.approx(2.0 * math.exp(400.0), rel=1e-12)
+
+    @pytest.mark.parametrize("a,b", [
+        (np.diag([-800.0, 0.0]), np.array([[1.0, 0.5], [0.5, 1.0]])),
+        (np.diag([-500.0, 0.0]), np.diag([-300.0, 1.0])),
+    ])
+    def test_overflow_is_a_skipped_record(self, a, b):
+        # both sides are about e^{800}: no float holds them, and no warning is raised
+        skipped(pair("GOLDEN_THOMPSON", a, b, 1.0), "both sides overflow: they scale by exp(800)")
+
 
 class TestMainTrace:
     def test_quadratic_equalities(self):
@@ -656,6 +681,30 @@ GRID_CASES = [name for name, entry in ineq.CASES.items() if entry.grid]
 FUNC_CASES = [name for name, entry in ineq.CASES.items() if entry.funcs]
 
 
+LE, GE, EQ = ("le", ineq.VERDICT), ("ge", ineq.VERDICT), ("eq", ineq.VERDICT)
+LE_OBS, GE_OBS = ("le", ineq.CONJECTURE), ("ge", ineq.CONJECTURE)
+# case -> (parameter, direction and mode, or None outside the case), from the
+# paper's statements as the comments on the CASES entries give them
+DIRECTIONS = {
+    "MCCARTHY": [(-1.0, None), (0.0, None), (0.5, LE), (1.0, EQ), (1.5, GE), (5.0, GE)],
+    "GOLDEN_THOMPSON": [(-0.5, None), (0.0, LE), (2.5, LE)],
+    "COR_PMEAN": [(0.5, None), (1.0, EQ), (1.5, GE), (4.0, GE)],
+    "COR_ABQ": [
+        (-2.5, LE), (0.0, EQ), (0.5, GE), (1.0, EQ), (1.5, LE), (2.0, EQ), (2.5, GE), (3.0, GE), (3.5, GE),
+    ],
+    "COR_FALTQ": [
+        (-3.0, LE), (-2.0, LE), (-1.5, LE_OBS), (0.0, EQ), (0.5, GE), (1.0, EQ), (1.5, LE), (2.0, EQ),
+        (2.5, GE), (3.0, GE), (3.5, GE_OBS),
+    ],
+    "COR_ABQ3": [(-2.5, LE), (-0.5, LE_OBS), (0.5, GE), (1.5, LE), (2.5, GE), (4.0, GE_OBS)],
+    "ALT": [(-3.0, GE), (-2.5, GE), (-2.0, EQ), (-1.5, LE), (0.0, EQ), (0.5, LE), (2.0, EQ), (2.5, GE)],
+    "NORM_COMPRESSION": [
+        (-1.0, None), (0.0, None), (0.5, GE), (1.0, EQ), (1.5, LE), (2.0, EQ), (2.5, GE), (3.0, GE), (3.5, GE_OBS),
+    ],
+    "PROP_Q4": [(4.0, GE)],
+}
+
+
 class TestCaseGrids:
     # verify runs each case over its grid in verdict mode: conjecture
     # regions are probe-only
@@ -681,6 +730,17 @@ class TestCaseGrids:
         rule = ineq.CASES[case].rule
         verdict_spans = {i for i, (_, _, mode) in enumerate(rule.spans) if mode == ineq.VERDICT}
         assert verdict_spans <= {rule.span(q) for q in ineq.CASES[case].grid}
+
+    @pytest.mark.parametrize("case,points", sorted(DIRECTIONS.items()))
+    def test_direction_rules_follow_the_stated_regions(self, case, points):
+        # inside every span and on its boundaries, off the verify grids too
+        rule = ineq.CASES[case].rule
+        for q, expected in points:
+            if expected is None:
+                with pytest.raises(mc.DomainError):
+                    rule(q)
+            else:
+                assert rule(q) == expected, q
 
     @pytest.mark.parametrize("case", FUNC_CASES)
     def test_every_verify_function_is_in_verdict_mode(self, case):
