@@ -140,14 +140,14 @@ def sequential_search(case, q, dim, budget, seed, func):
 @pytest.mark.parametrize("case,q,func", [
     ("COR_ABQ", 2.0, None),
     ("COR_ABQ", 4.0, None),
-    ("COR_ABQ", -1.0, None),
     ("NORM_COMPRESSION", 4.0, None),
     ("MAIN_TRACE", None, fc.DiscreteMeasureBFk(2, (1.0,), (1.0,))),
     ("COR_ABQ3", -2.5, None),
-    ("COR_ABQ3", 1.5, None),
     ("COR_FALTQ", 2.5, None),
     ("ALT", -1.0, None),
     ("COR_PMEAN", 2.0, None),
+    ("COR_ABQ", -1.0, None),
+    ("COR_ABQ3", 1.5, None),
 ])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_lockstep_search_matches_sequential_restarts(case, q, func, dim, monkeypatch):
