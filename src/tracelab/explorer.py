@@ -1,13 +1,15 @@
 """Randomized ensembles, parameter sweeps, counterexample search and
 conjecture probing over the inequality catalog.
 
-Sweeps are deterministic: cell i, trial j always evaluates the matrices drawn
-from seed base_seed + i*10**6 + j, so any record can be reproduced from its
-(case, cell, index) coordinates and cells are seed-isolated from each other.
+Sweeps are deterministic: trial j of cell i reads row j of streams spawned
+from SeedSequence([base_seed, i]), whatever the cell's size or CHUNK_TRIALS.
+So a record (seed: the trial id base_seed + i*10**6 + j) is reproducible
+from its (case, cell, index), and cells are seed-isolated from each other.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 import numpy as np
@@ -37,6 +39,8 @@ __all__ = [
 SWEEP_CSV_HEADER = "case,q,dim,ensemble,trials,violations,min_gap,worst_seed"
 
 CELL_SEED_STRIDE = 10**6
+
+STREAMS = ("normals", "ranks", "uniforms")
 
 # Trials per stacked evaluation: bounds memory for any cell or search size.
 CHUNK_TRIALS = 256
@@ -69,6 +73,8 @@ class SweepPlan:
             )
         if not self.q_grid or not self.dims:
             raise ValueError("q_grid and dims must be non-empty")
+        if not all(q is None or math.isfinite(q) for q in self.q_grid):
+            raise ValueError(f"q values must be finite, got {self.q_grid}")
         if self.ensemble not in mc.ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         if ineq.CASES[self.case].needs_func and self.func is None:
@@ -181,8 +187,8 @@ class SweepSummary:
 
 
 def draw_inputs(case: str, dim: int, ensemble: str, rng: np.random.Generator) -> dict:
-    """Draw the matrices one trial of `case` consumes, from one generator."""
-    return ineq.CASES[case].kind.draw(rng, ensemble, dim)
+    """One trial's inputs {key: matrix}: one row of the stacked draw, all from rng."""
+    return {k: m[0] for k, m in ineq.CASES[case].kind.draw(lambda quantity: rng, ensemble, dim, 1).items()}
 
 
 # Evaluate one catalog case on explicit inputs {key: matrix}; a trial a sweep
@@ -191,15 +197,17 @@ evaluate_case = ineq.evaluate_one
 
 
 def run_cell(plan: SweepPlan, cell_index: int, q: float | None, dim: int) -> list[TrialRecord]:
-    """All trial records of one cell; trial j uses seed
-    base_seed + cell_index * 10**6 + j.  Each trial is drawn from its own
-    generator; the draws are stacked and evaluated CHUNK_TRIALS at a time."""
+    """All trial records of one cell, drawn and evaluated CHUNK_TRIALS at a
+    time; trial j has seed base_seed + cell_index * 10**6 + j and reads row j
+    of each stream.  A stream is made when the draw first reads it."""
     first = plan.base_seed + cell_index * CELL_SEED_STRIDE
+    kind = ineq.CASES[plan.case].kind
+    stream = functools.cache(lambda quantity: np.random.default_rng(np.random.SeedSequence(
+        [plan.base_seed, cell_index], spawn_key=(STREAMS.index(quantity),))))
     records: list[TrialRecord] = []
     for lo in range(0, plan.trials_per_cell, CHUNK_TRIALS):
         seeds = range(first + lo, first + min(lo + CHUNK_TRIALS, plan.trials_per_cell))
-        draws = [draw_inputs(plan.case, dim, plan.ensemble, np.random.default_rng(s)) for s in seeds]
-        inputs = {k: np.stack([d[k] for d in draws]) for k in draws[0]}
+        inputs = kind.draw(stream, plan.ensemble, dim, len(seeds))
         batch = ineq.evaluate(plan.case, inputs, q, plan.func, plan.tol_rel)
         records.extend(batch.records(seeds, plan.ensemble))
     return records
@@ -307,6 +315,8 @@ def search_counterexample(
         raise ValueError("budget must be >= 1")
     if case not in ineq.CASES:
         raise ValueError(f"unknown case {case!r}")
+    if q is not None and not math.isfinite(q):
+        raise ValueError(f"q must be finite, got {q}")
     kind = ineq.CASES[case].kind
     rng = np.random.default_rng(seed)
     nparams = kind.param_count(dim)

@@ -266,12 +266,15 @@ def _main_trace(tr, q, g, a, b):
     domain = "positive" if g.class_tag == "CM0" else "nonneg"  # the CM0 form is stated for A, B > 0
     (lam_a, va), (lam_b, vb) = tr.eigh("a", a), tr.eigh("b", b)
     av, bv = tr.spectra(lam_a, domain), tr.spectra(lam_b, domain)
-    # every argument of g is validated first: funclass functions reject a
-    # whole array for one out-of-domain entry
+    # g runs once, on all its arguments concatenated; each is validated first,
+    # because funclass functions reject a whole array for one out-of-domain entry
     lam_sum = tr.spectra(np.linalg.eigvalsh(a + b), "positive" if domain == "positive" else g.domain)
-    lhs = np.sum(g(lam_sum), axis=-1) - np.sum(g(av), axis=-1) - np.sum(g(bv), axis=-1)
-    roots = np.sqrt(av[:, :, None] * bv[:, None, :])
-    return lhs, _pair_sum(g(2.0 * roots) - 2.0 * g(roots), va, vb)
+    n = av.shape[-1]
+    roots = np.sqrt(av[:, :, None] * bv[:, None, :]).reshape(-1, n * n)
+    v = g(np.concatenate([lam_sum, av, bv, 2.0 * roots, roots], axis=-1))
+    s = np.sum(v[:, : 3 * n].reshape(-1, 3, n), axis=-1)  # trace g(A+B), trace g(A), trace g(B)
+    w = v[:, 3 * n :].reshape(-1, 2, n, n)
+    return s[:, 0] - s[:, 1] - s[:, 2], _pair_sum(w[:, 0] - 2.0 * w[:, 1], va, vb)
 
 
 def _cor_pmean(tr, p, g, a, b):
@@ -336,11 +339,9 @@ def _norm_compression(tr, q, g, b, c, d):
 
 def _trace_subadd(tr, q, g, a, b):
     domain = "positive" if getattr(g, "domain", "real") == "positive" else "nonneg"
-
-    def tr_g(h):
-        return np.sum(g(tr.spectra(np.linalg.eigvalsh(h), domain)), axis=-1)
-
-    return tr_g(a + b), tr_g(a) + tr_g(b)
+    lam = np.concatenate([tr.spectra(np.linalg.eigvalsh(h), domain) for h in (a + b, a, b)], axis=-1)
+    s = np.sum(g(lam).reshape(len(lam), 3, -1), axis=-1)  # one call of g; the traces of g(A+B), g(A), g(B)
+    return s[:, 0], s[:, 1] + s[:, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +366,9 @@ class Regions:
             raise DomainError(self.outside[1].format(q))
         if q in self.eq:
             return None
-        return next((i for i, (hi, _, _) in enumerate(self.spans) if q <= hi), len(self.spans) - 1)
+        if np.isnan(q):  # in no span: every rule's last span ends at inf
+            raise DomainError(f"the parameter must be a number, got {q}")
+        return next(i for i, (hi, _, _) in enumerate(self.spans) if q <= hi)
 
     def __call__(self, q: float) -> tuple[str, str]:
         i = self.span(q)
@@ -421,10 +424,6 @@ def _dir_trace_subadd(g: fc.ScalarFunction) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 
 
-def _gram(g: np.ndarray) -> np.ndarray:
-    return mc.hermitian_part(g @ g.mT.conj())
-
-
 def _cmat(params: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """(K, rows, cols) complex matrices from the first 2*rows*cols entries of
     each parameter row (real parts, then imaginary parts)."""
@@ -443,10 +442,10 @@ def _block_partition(w: np.ndarray, dim: int) -> tuple:
 @dataclass(frozen=True)
 class Factor:
     """One side x side matrix of a trial's input layout, side = scale * dim,
-    split into the inputs `keys`.  A search builds it from a complex factor G,
-    its slice of the parameters (the real, then the imaginary parts of G,
-    row-major): the Gram matrix G G^* when `gram`, else G itself.  A sweep
-    draws it from the ensemble when `gram`, else as a complex Gaussian."""
+    split into the inputs `keys`.  It is made from a complex factor G, its
+    slice of the parameters (the real, then the imaginary parts of G,
+    row-major): when `gram` a PSD matrix, G G^* in a search and the
+    ensemble's matrix in a draw, else G itself."""
 
     keys: tuple[str, ...]
     scale: int = 1
@@ -458,12 +457,7 @@ class Factor:
 
     def build(self, params: np.ndarray, dim: int) -> dict:
         g = _cmat(params, self.scale * dim, self.scale * dim)
-        return dict(zip(self.keys, self.split(_gram(g) if self.gram else g, dim)))
-
-    def draw(self, rng: np.random.Generator, ensemble: str, dim: int) -> dict:
-        side = self.scale * dim
-        m = mc.random_ensemble(ensemble, side, rng) if self.gram else mc.random_complex_gaussian(rng, side, side)
-        return dict(zip(self.keys, self.split(m, dim)))
+        return dict(zip(self.keys, self.split(mc.gram(g) if self.gram else g, dim)))
 
 
 @dataclass(frozen=True)
@@ -484,10 +478,17 @@ class InputKind:
     def param_count(self, dim: int) -> int:
         return sum(f.param_count(dim) for f in self.factors)
 
-    def draw(self, rng: np.random.Generator, ensemble: str, dim: int) -> dict:
-        """One trial's inputs {key: matrix}, drawn factor by factor from one
-        generator."""
-        return {k: m for f in self.factors for k, m in f.draw(rng, ensemble, dim).items()}
+    def draw(self, stream: Callable[[str], np.random.Generator], ensemble: str, dim: int, count: int) -> dict:
+        """{key: (count, rows, cols)}: trial j from row j of each stream(quantity),
+        its normals laid out as its parameters and scaled by 1/sqrt(2).  The
+        Gram factors, which share one side, go through the ensemble as one
+        (count, factors) stack, so that it reads its own stream by trial too."""
+        z = stream("normals").standard_normal((count, self.param_count(dim))) / np.sqrt(2.0)
+        cuts = np.cumsum([0] + [f.param_count(dim) for f in self.factors])
+        g = [_cmat(z[:, lo:hi], f.scale * dim, f.scale * dim) for f, lo, hi in zip(self.factors, cuts, cuts[1:])]
+        gram = [m for f, m in zip(self.factors, g) if f.gram]
+        psd = iter(mc.ENSEMBLES[ensemble](np.stack(gram, axis=1), stream).swapaxes(0, 1))
+        return {k: m for f, gi in zip(self.factors, g) for k, m in zip(f.keys, f.split(next(psd) if f.gram else gi, dim))}
 
     def unpack(self, params: np.ndarray, dim: int, column: int | None = None) -> dict:
         """{key: (K, rows, cols)} from (K, P) parameters: every input, or only

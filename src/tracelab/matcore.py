@@ -9,9 +9,9 @@ random PSD ensembles and the matrix file format.
 Everything is a pure function of its inputs; random generation is always
 seed-parameterized, never global.  Results are bit-for-bit repeatable within
 one numpy/LAPACK build and BLAS thread setting.
-`eigh`, `hermitian_part`, `spectral_matrix`, `assemble_blocks` and
-`checked_spectra` also take stacks of matrices (leading axes); a matrix's
-result does not depend on the stack it sits in.
+`eigh`, `hermitian_part`, `gram`, `unitary`, `spectral_matrix`,
+`assemble_blocks`, `checked_spectra` and the ensembles also take stacks of
+matrices (leading axes); a matrix's result does not depend on the stack.
 """
 
 from __future__ import annotations
@@ -162,34 +162,43 @@ def random_complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> n
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
 
+def gram(g: np.ndarray) -> np.ndarray:
+    """G G^* over the last two axes, exactly Hermitian."""
+    return hermitian_part(g @ g.mT.conj())
+
+
 def psd_from_rng(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
-    """G G^* for a complex normal dim x rank factor G, exactly Hermitian."""
-    g = random_complex_gaussian(rng, dim, rank)
-    return hermitian_part(g @ g.conj().T)
+    return gram(random_complex_gaussian(rng, dim, rank))
 
 
-def unitary_from_rng(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = random_complex_gaussian(rng, dim, dim)
+def unitary(g: np.ndarray) -> np.ndarray:
+    """Q of G = QR, its columns phased so that R has a positive diagonal."""
     q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
-def _wishart(rng, dim):
-    return psd_from_rng(rng, dim, dim)
+def _wishart(g, stream):
+    return gram(g)
 
 
-def _rank_deficient(rng, dim):
-    rank = 1 if dim == 1 else int(rng.integers(1, dim))
-    return psd_from_rng(rng, dim, rank)
+def _rank_deficient(g, stream):
+    """G G^* with the columns of G at or beyond a rank uniform on 1..n-1 (1
+    when n = 1) zeroed; u * (n - 1) rounds below n - 1 for every u < 1."""
+    n = g.shape[-1]
+    rank = 1 + (stream("ranks").random(g.shape[:-2]) * (n - 1)).astype(int)
+    return gram(g * (np.arange(n) < rank[..., None, None]))
 
 
-def _rotated_uniform(rng, dim):
-    u = unitary_from_rng(rng, dim)
-    d = rng.uniform(0.0, 1.0, size=dim)
-    return hermitian_part((u * d) @ u.conj().T)
+def _rotated_uniform(g, stream):
+    u = unitary(g)
+    d = stream("uniforms").random(g.shape[:-1])
+    return hermitian_part((u * d[..., None, :]) @ u.mT.conj())
 
 
+# An ensemble maps complex normal factors G (n x n, any leading axes) to PSD
+# matrices, reading a further quantity once from the generator
+# stream(quantity), one fixed-width row per matrix in C order.
 ENSEMBLES = {
     "wishart": _wishart,
     "rank_deficient": _rank_deficient,
@@ -198,12 +207,12 @@ ENSEMBLES = {
 
 
 def random_ensemble(kind: str, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one PSD matrix from a named ensemble using the supplied generator."""
+    """One PSD matrix from a named ensemble: one row of its stacked draw, all from rng."""
     try:
         draw = ENSEMBLES[kind]
     except KeyError:
         raise ValueError(f"unknown ensemble {kind!r}; choose from {sorted(ENSEMBLES)}") from None
-    return draw(rng, dim)
+    return draw(random_complex_gaussian(rng, dim, dim)[None], lambda quantity: rng)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 counterexample search against a restart-by-restart reference loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,19 +88,63 @@ def test_skipped_records_carry_the_evaluated_q_and_dim(monkeypatch):
     # identity misses by far more than its residual bound, so PROP_Q4 skips
     c, s = math.cos(1e-6), math.sin(1e-6)
     pair = {"a": np.diag([1e6, 0.0]), "b": 1e6 * np.array([[s * s, -s * c], [-s * c, c * c]])}
-    monkeypatch.setattr(ex, "draw_inputs", lambda case, dim, ensemble, rng: pair)
+    def draw(self, stream, ensemble, dim, count):
+        return {k: np.stack([m] * count) for k, m in pair.items()}
+
+    monkeypatch.setattr(ineq.InputKind, "draw", draw)
     records = ex.sweep_records(ex.SweepPlan("PROP_Q4", (None,), (2,), 2))
     assert [(r.q, r.dim, r.verdict) for r in records] == [(4.0, 2, "SKIPPED")] * 2
 
 
-@pytest.mark.parametrize("case,q,func", [
-    ("COR_ABQ", -1.0, None), ("NORM_COMPRESSION", 1.5, None), ("MAIN_TRACE", None, CM0),
+@pytest.mark.parametrize("case,q,func,ensemble,trials", [
+    pytest.param("COR_ABQ", -1.0, None, "rank_deficient", 10, id="COR_ABQ--1.0-None"),
+    pytest.param("NORM_COMPRESSION", 1.5, None, "rank_deficient", 10, id="NORM_COMPRESSION-1.5-None"),
+    pytest.param("MAIN_TRACE", None, CM0, "rank_deficient", 10, id="MAIN_TRACE-None-func2"),
+    # a PAIR, a CD and a BLOCKS case on the other ensembles
+    ("COR_ABQ", 2.5, None, "wishart", 7),
+    ("COR_ABQ3", 1.5, None, "wishart", 8),
+    ("NORM_COMPRESSION", 2.5, None, "wishart", 11),
+    ("ALT", 1.5, None, "rotated_uniform", 7),
+    ("COR_ABQ3", 0.5, None, "rotated_uniform", 8),
+    ("NORM_COMPRESSION", 1.5, None, "rotated_uniform", 11),
 ])
-def test_cell_records_do_not_depend_on_the_chunk_size(case, q, func, monkeypatch):
-    plan = ex.SweepPlan(case, (q,), (2, 3), trials_per_cell=10, ensemble="rank_deficient", base_seed=9, func=func)
+def test_cell_records_do_not_depend_on_the_chunk_size(case, q, func, ensemble, trials, monkeypatch):
+    plan = ex.SweepPlan(case, (q,), (2, 3), trials_per_cell=trials, ensemble=ensemble, base_seed=9, func=func)
     whole = [r.to_json() for r in ex.sweep_records(plan)]
     monkeypatch.setattr(ex, "CHUNK_TRIALS", 3)
     assert [r.to_json() for r in ex.sweep_records(plan)] == whole
+
+
+@pytest.mark.parametrize("ensemble", sorted(mc.ENSEMBLES))
+def test_a_cell_prefix_does_not_depend_on_the_trial_count(ensemble):
+    k = 4
+    plan = ex.SweepPlan("ALT", (1.5,), (2, 3), trials_per_cell=k, ensemble=ensemble, base_seed=5)
+    short = [r.to_json() for r in ex.sweep_records(plan)]
+    long = [r.to_json() for r in ex.sweep_records(replace(plan, trials_per_cell=3 * k))]
+    assert short == long[:k] + long[3 * k : 4 * k]
+
+
+def test_cell_streams_are_spawned_from_the_cell_seed():
+    # cell i reads quantity STREAMS[k] from child k of SeedSequence([base_seed, i])
+    plan = ex.SweepPlan("COR_ABQ3", (1.5,), (2, 3), trials_per_cell=5, ensemble="rotated_uniform", base_seed=21)
+    streams = dict(zip(ex.STREAMS, map(np.random.default_rng, np.random.SeedSequence([21, 1]).spawn(3))))
+    inputs = ineq.CD.draw(streams.__getitem__, "rotated_uniform", 3, 5)
+    seeds = range(21 + ex.CELL_SEED_STRIDE, 21 + ex.CELL_SEED_STRIDE + 5)
+    expected = ineq.evaluate("COR_ABQ3", inputs, 1.5).records(seeds, "rotated_uniform")
+    assert [r.to_json() for r in ex.sweep_records(plan)[5:]] == [r.to_json() for r in expected]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_rank_deficient_draws_have_their_drawn_rank(dim):
+    # each Gram factor's rank is 1 + floor(u * (dim - 1)), u its uniform of
+    # the ranks stream, which is read row-major by trial
+    count = 40
+    streams = {quantity: np.random.default_rng(k) for k, quantity in enumerate(ex.STREAMS)}
+    inputs = ineq.PAIR.draw(streams.__getitem__, "rank_deficient", dim, count)
+    ranks = 1 + (np.random.default_rng(1).random((count, 2)) * (dim - 1)).astype(int)
+    assert set(ranks.ravel().tolist()) == set(range(1, dim))
+    got = [[np.linalg.matrix_rank(inputs[k][j], hermitian=True) for k in "ab"] for j in range(count)]
+    assert got == ranks.tolist()
 
 
 def sequential_search(case, q, dim, budget, seed, func):

@@ -38,6 +38,15 @@ class TestSweepPlan:
             small_plan(trials_per_cell=ex.CELL_SEED_STRIDE)
         assert small_plan(trials_per_cell=ex.CELL_SEED_STRIDE - 1).trials_per_cell == 999_999
 
+    @pytest.mark.parametrize("case", ["COR_ABQ", "GOLDEN_THOMPSON"])
+    def test_rejects_a_non_finite_parameter(self, case):
+        for q in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                ex.SweepPlan(case, (1.0, q), (2,), 1)
+            with pytest.raises(ValueError, match="must be finite"):
+                ex.search_counterexample(case, q, 2, budget=1, seed=0)
+        assert ex.SweepPlan("PROP_Q4", (None,), (2,), 1).q_grid == (None,)
+
     def test_cell_order_is_grid_major(self):
         plan = small_plan()
         assert plan.cells() == [(0.5, 2), (0.5, 3), (2.5, 2), (2.5, 3)]

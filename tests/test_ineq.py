@@ -397,7 +397,7 @@ class TestNegativeSandwichPowers:
         # digits to cancellation in trace A^{q/2} B^{q/2}
         for seed in range(400):
             rng = np.random.default_rng(seed)
-            u = mc.unitary_from_rng(rng, 3)
+            u = mc.unitary(mc.random_complex_gaussian(rng, 3, 3))
             la = 10 ** rng.uniform(-7.9, 0.0, size=3)
             lb = 10 ** rng.uniform(-7.9, 0.0, size=3)
             a, b = (u * la) @ u.conj().T, (u * lb) @ u.conj().T
@@ -437,7 +437,7 @@ class TestPositiveSandwichPowers:
         for seed in range(300):
             rng = np.random.default_rng(seed)
             dim = 2 + seed % 3
-            u = mc.unitary_from_rng(rng, dim)
+            u = mc.unitary(mc.random_complex_gaussian(rng, dim, dim))
             la = 10 ** rng.uniform(-8.0, 0.0, size=dim)
             lb = 10 ** rng.uniform(-8.0, 0.0, size=dim)
             if seed % 3 == 0:
@@ -741,6 +741,15 @@ class TestCaseGrids:
                     rule(q)
             else:
                 assert rule(q) == expected, q
+
+    @pytest.mark.parametrize("case", sorted(DIRECTIONS))
+    def test_a_nan_parameter_is_outside_every_case(self, case):
+        # NaN falls in no span; +-inf fall in the outer spans
+        with pytest.raises(mc.DomainError, match="must be a number, got nan"):
+            ineq.CASES[case].rule(math.nan)
+
+    def test_a_nan_rate_skips_golden_thompson(self):
+        skipped(pair("GOLDEN_THOMPSON", np.eye(2), np.eye(2), math.nan), "the parameter must be a number, got nan")
 
     @pytest.mark.parametrize("case", FUNC_CASES)
     def test_every_verify_function_is_in_verdict_mode(self, case):

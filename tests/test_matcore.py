@@ -92,7 +92,7 @@ class TestEigh:
             for dim in range(1, 9)
             for k in range(3)
         ]
-        u = mc.unitary_from_rng(np.random.default_rng(12), 4)
+        u = mc.unitary(mc.random_complex_gaussian(np.random.default_rng(12), 4, 4))
         cases.append(herm((u * np.array([1.0, 1.0, 2.0, 3.0])) @ u.conj().T))
         for a in cases:
             got = mc.eigh(a).eigenvalues
@@ -196,7 +196,7 @@ class TestSingularValues:
         # the smallest value is below eps * sigma_max^2, so the eigenvalues
         # of X^* X lose it; the singular values keep it to a few ulps of 3
         rng = np.random.default_rng(12)
-        u, v = mc.unitary_from_rng(rng, 3), mc.unitary_from_rng(rng, 3)
+        u, v = mc.unitary(mc.random_complex_gaussian(rng, 3, 3)), mc.unitary(mc.random_complex_gaussian(rng, 3, 3))
         sigma = np.array([3.0, 2.0, 1e-9])
         got = mc.singular_values((u * sigma) @ v.conj().T)
         assert np.allclose(got[:2], sigma[:2], rtol=1e-14)
@@ -258,7 +258,7 @@ class TestRandomEnsembles:
             mc.random_ensemble("cauchy", 3, np.random.default_rng(0))
 
     def test_random_unitary_is_unitary(self):
-        u = mc.unitary_from_rng(np.random.default_rng(8), 4)
+        u = mc.unitary(mc.random_complex_gaussian(np.random.default_rng(8), 4, 4))
         assert fro(u.conj().T @ u - np.eye(4)) < 1e-12
 
 

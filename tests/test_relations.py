@@ -62,7 +62,7 @@ class TestPairRelations:
     def test_joint_unitary_conjugation(self, case, param):
         a, b = draw_pairs(2, 3)
         rng = np.random.default_rng(3)
-        u = np.stack([mc.unitary_from_rng(rng, 3) for _ in range(TRIALS)])
+        u = np.stack([mc.unitary(mc.random_complex_gaussian(rng, 3, 3)) for _ in range(TRIALS)])
         ua, ub = (mc.hermitian_part(u @ m @ u.mT.conj()) for m in (a, b))
         assert deviation(sides(case, param, a, b), sides(case, param, ua, ub)) <= BOUND
 

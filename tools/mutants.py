@@ -12,6 +12,12 @@ repository and runs `python -m pytest -x -q tests` there.  A mutant is killed
 when the suite fails or times out.  It prints killed/total and the surviving
 sites.  The checkout it reads is never modified.
 
+Each suite run may map at most MEMORY_LIMIT_BYTES (1 GiB) of address space
+(RLIMIT_AS).  The unmutated suite peaks at about 180 MiB (VmPeak, one BLAS
+thread), so only a mutant that allocates without bound reaches the limit; its
+run then fails (a MemoryError, or an abort where native code cannot allocate),
+and the mutant counts as killed.
+
 `--root` points at another checkout (for example the parent commit) so that
 two trees can be scored on the same sample settings.  The suite must pass on
 the unmutated module first; otherwise the script stops with exit status 2.
@@ -23,6 +29,7 @@ import argparse
 import ast
 import os
 import random
+import resource
 import shutil
 import subprocess
 import sys
@@ -39,6 +46,11 @@ SYMBOLS = {
 }
 CONSTANT_SCALE = 1.5
 TIMEOUT_S = 600
+MEMORY_LIMIT_BYTES = 1 << 30
+
+
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT_BYTES, MEMORY_LIMIT_BYTES))
 
 
 def sites(tree: ast.AST) -> list[tuple[int, int, str]]:
@@ -78,7 +90,9 @@ def suite_passes(copy: Path) -> bool:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), OPENBLAS_NUM_THREADS="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"]
     try:
-        done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S)
+        done = subprocess.run(
+            cmd, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S, preexec_fn=_limit_memory
+        )
     except subprocess.TimeoutExpired:
         return False
     return done.returncode == 0
